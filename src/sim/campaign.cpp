@@ -18,7 +18,13 @@ std::string campaign_schema_header_line() {
            std::to_string(campaign_schema_version) + "}";
 }
 
-std::optional<int> parse_campaign_schema_header(const std::string& line) {
+std::optional<int> parse_campaign_schema_header(std::string_view line) {
+    // A header must spell its "schema" key, literally or through a \u
+    // escape; record lines do neither, so they skip the parse.
+    if (line.find("\"schema\"") == std::string_view::npos &&
+        line.find('\\') == std::string_view::npos) {
+        return std::nullopt;
+    }
     try {
         const json_value v = json_parse(line);
         if (!v.is_object() || !v.contains("schema")) return std::nullopt;
@@ -29,20 +35,27 @@ std::optional<int> parse_campaign_schema_header(const std::string& line) {
     }
 }
 
-void check_campaign_ledger_schema(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) return;  // missing file: nothing to reject
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const auto version = parse_campaign_schema_header(line);
+bool campaign_ledger_reader::header(std::string_view line) {
+    if (line.empty()) return false;
+    const auto version = parse_campaign_schema_header(line);
+    if (first_) {  // only a file's first non-empty line is version-checked
+        first_ = false;
         if (version.has_value() && *version != campaign_schema_version) {
-            throw error("campaign ledger '" + path + "': schema version " +
+            throw error("campaign ledger '" + path_ + "': schema version " +
                         std::to_string(*version) + " is incompatible (this build "
                         "reads version " + std::to_string(campaign_schema_version) +
                         ")");
         }
-        return;  // only the first non-empty line can be a header
+    }
+    return version.has_value();
+}
+
+std::optional<campaign_record> campaign_ledger_reader::record(std::string_view line) {
+    if (line.empty() || header(line)) return std::nullopt;
+    try {
+        return campaign_record::from_json(line);
+    } catch (const error&) {
+        return std::nullopt;
     }
 }
 
@@ -222,7 +235,7 @@ std::string campaign_record::to_json() const {
     return os.str();
 }
 
-campaign_record campaign_record::from_json(const std::string& line) {
+campaign_record campaign_record::from_json(std::string_view line) {
     const json_value v = json_parse(line);
     campaign_record rec;
     const auto fam = family_from_string(v.at("family").as_string());
@@ -312,18 +325,12 @@ text_table campaign_table(const std::vector<campaign_record>& records) {
 std::vector<campaign_record> load_campaign_ledger(const std::string& path) {
     std::vector<campaign_record> records;
     if (path.empty()) return records;
-    check_campaign_ledger_schema(path);
     std::ifstream in(path);
     if (!in) return records;
+    campaign_ledger_reader reader(path);
     std::string line;
     while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        if (parse_campaign_schema_header(line).has_value()) continue;
-        try {
-            records.push_back(campaign_record::from_json(line));
-        } catch (const error&) {
-            continue;
-        }
+        if (auto rec = reader.record(line)) records.push_back(std::move(*rec));
     }
     return records;
 }

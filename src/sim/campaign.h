@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/runner.h"
@@ -52,12 +53,8 @@ inline constexpr int campaign_schema_version = 1;
 
 // Classifies one line: the version if it is a schema header, nullopt
 // otherwise (record line, torn line, legacy garbage — caller decides).
-[[nodiscard]] std::optional<int> parse_campaign_schema_header(const std::string& line);
-
-// Throws anole::error naming `path` if its first non-empty line is a
-// schema header of a different version. Missing/empty/headerless files
-// pass (legacy ledgers keep resuming).
-void check_campaign_ledger_schema(const std::string& path);
+// Lines that cannot spell the "schema" key are rejected without a parse.
+[[nodiscard]] std::optional<int> parse_campaign_schema_header(std::string_view line);
 
 // --- declaration ------------------------------------------------------------
 
@@ -158,7 +155,7 @@ struct campaign_record {
     std::string error;
 
     [[nodiscard]] std::string to_json() const;  // one line, no trailing \n
-    [[nodiscard]] static campaign_record from_json(const std::string& line);
+    [[nodiscard]] static campaign_record from_json(std::string_view line);
 };
 
 struct campaign_report {
@@ -172,6 +169,27 @@ struct campaign_report {
 // Aggregate per-(family, n, variant) table over the records: run/ok
 // counts, election rate, message/round statistics, profile columns.
 [[nodiscard]] text_table campaign_table(const std::vector<campaign_record>& records);
+
+// Reads one ledger or shard file line by line, in file order, so each
+// line is parsed once. If the first non-empty line fed in is a schema
+// header of a different version it throws anole::error naming the path;
+// headerless (legacy) files pass. Schema headers anywhere are skipped.
+// load_campaign_ledger, merge_fleet and the fleet workers' incremental
+// scans all read through it.
+class campaign_ledger_reader {
+public:
+    explicit campaign_ledger_reader(std::string path) : path_(std::move(path)) {}
+
+    // True if `line` is a schema header (callers skip it).
+    [[nodiscard]] bool header(std::string_view line);
+    // The record on `line`; nullopt for blank, header, torn and foreign
+    // lines.
+    [[nodiscard]] std::optional<campaign_record> record(std::string_view line);
+
+private:
+    std::string path_;
+    bool first_ = true;
+};
 
 // All parseable records of a ledger/shard file, in file order (schema
 // header checked and skipped; torn/foreign lines dropped). Missing file

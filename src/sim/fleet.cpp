@@ -1,5 +1,7 @@
 #include "sim/fleet.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -158,31 +160,79 @@ void release_lease(const std::string& path, const std::string& owner) {
 
 namespace {
 
-// Keys of every record in `path` (ledger or shard); empty for missing
-// files. Incompatible schema headers throw — a fleet must not silently
-// re-run (or silently trust) work recorded by an incompatible build.
-void collect_done_keys(const std::string& path, std::set<std::string>& done) {
-    for (const campaign_record& rec : load_campaign_ledger(path)) {
-        done.insert(rec.unit.key());
-    }
-}
+// Closes a POSIX descriptor on scope exit.
+class fd_closer {
+public:
+    explicit fd_closer(int fd) : fd_(fd) {}
+    ~fd_closer() { ::close(fd_); }
+    fd_closer(const fd_closer&) = delete;
+    fd_closer& operator=(const fd_closer&) = delete;
 
-std::set<std::string> scan_done(const std::string& ledger, const fleet_paths& paths) {
-    std::set<std::string> done;
-    collect_done_keys(ledger, done);
-    for (const std::string& shard : paths.shard_files()) {
-        collect_done_keys(shard, done);
-    }
-    return done;
-}
+private:
+    int fd_;
+};
 
 }  // namespace
+
+const std::set<std::string>& fleet_scan::refresh() {
+    read(paths_.ledger);
+    for (const std::string& shard : paths_.shard_files()) read(shard);
+    return done_;
+}
+
+void fleet_scan::read(const std::string& path) {
+    // One descriptor for stat and read, so a rename between the two
+    // cannot pair one file's inode with another file's bytes.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return;  // missing: nothing recorded there (yet)
+    const fd_closer closer(fd);
+    struct stat st {};
+    if (::fstat(fd, &st) != 0) throw error("fleet: cannot stat " + path);
+    const auto device = static_cast<std::uint64_t>(st.st_dev);
+    const auto inode = static_cast<std::uint64_t>(st.st_ino);
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+
+    auto it = files_.find(path);
+    if (it == files_.end() || it->second.device != device ||
+        it->second.inode != inode || size < it->second.offset) {
+        // New or replaced file: read it whole, schema check included.
+        it = files_.insert_or_assign(
+                       path, cursor{device, inode, 0, campaign_ledger_reader(path)})
+                 .first;
+    }
+    cursor& c = it->second;
+    if (size == c.offset) return;
+
+    std::string bytes(size - c.offset, '\0');
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t r = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                                  static_cast<off_t>(c.offset + got));
+        if (r < 0 && errno == EINTR) continue;
+        if (r < 0) throw error("fleet: cannot read " + path);
+        if (r == 0) break;  // truncated since the fstat
+        got += static_cast<std::size_t>(r);
+    }
+    const std::string_view text(bytes.data(), got);
+    std::size_t begin = 0;
+    for (std::size_t nl = text.find('\n'); nl != std::string_view::npos;
+         nl = text.find('\n', begin)) {
+        if (auto rec = c.reader.record(text.substr(begin, nl - begin))) {
+            done_.insert(rec->unit.key());
+        }
+        begin = nl + 1;
+    }
+    c.offset += begin;
+}
 
 fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner,
                               const fleet_options& opt) {
     spec.validate();
     require(!spec.output.empty(), "fleet: spec.output must name the ledger");
-    check_campaign_ledger_schema(spec.output);
+    // The first refresh schema-checks the ledger and every existing shard,
+    // this worker's own included, before anything is written.
+    fleet_scan scan(spec.output);
+    (void)scan.refresh();
 
     const std::vector<campaign_unit> units = expand(spec);
     const std::size_t group = spec.variants.size() *
@@ -212,7 +262,6 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
             needs_newline = last != '\n';
         }
     }
-    if (!shard_empty) check_campaign_ledger_schema(report.shard);
     std::ofstream shard(report.shard, std::ios::app);
     require(shard.good(), "fleet: cannot open shard " + report.shard);
     if (needs_newline) shard << "\n";
@@ -225,7 +274,8 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
     for (;;) {
         std::size_t claimed_this_pass = 0;
         std::size_t blocked_this_pass = 0;
-        std::set<std::string> done = scan_done(spec.output, paths);
+        // The scan's live set: each later refresh updates `done` in place.
+        const std::set<std::string>& done = scan.refresh();
 
         for (std::size_t g = 0; g < groups; ++g) {
             const std::size_t lo = g * group;
@@ -250,10 +300,10 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
             // The claim may have raced a peer that just finished these
             // units (lease released, records landed between our scan and
             // our claim): re-filter against a fresh scan before running.
-            std::set<std::string> fresh = scan_done(spec.output, paths);
+            (void)scan.refresh();
             std::vector<campaign_unit> todo;
             for (const campaign_unit& u : pending) {
-                if (!fresh.count(u.key())) todo.push_back(u);
+                if (!done.count(u.key())) todo.push_back(u);
             }
             if (!todo.empty()) {
                 const std::vector<campaign_record> recs =
@@ -276,7 +326,7 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
     }
 
     // Units someone (possibly a previous run) finished that we never ran.
-    const std::set<std::string> done = scan_done(spec.output, paths);
+    const std::set<std::string>& done = scan.refresh();
     std::size_t recorded = 0;
     for (const campaign_unit& u : units) {
         if (done.count(u.key())) ++recorded;
@@ -331,13 +381,12 @@ merge_report merge_fleet(const campaign_spec& spec) {
     std::map<std::string, std::string> covered;   // expansion keys
     std::map<std::string, std::string> foreign;   // everything else
     for (const std::string& src : sources) {
-        check_campaign_ledger_schema(src);
         std::ifstream in(src);
         require(static_cast<bool>(in), "fleet merge: cannot read " + src);
+        campaign_ledger_reader reader(src);
         std::string line;
         while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            if (parse_campaign_schema_header(line).has_value()) continue;
+            if (line.empty() || reader.header(line)) continue;
             const std::optional<std::string> key = line_key(line);
             if (!key.has_value()) continue;  // torn tail: that unit re-runs
             auto& bucket = unit_index.count(*key) ? covered : foreign;

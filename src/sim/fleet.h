@@ -31,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -105,6 +107,38 @@ void release_lease(const std::string& path, const std::string& owner);
 
 // --- worker -----------------------------------------------------------------
 
+// A worker's running view of which units are finished: the keys of every
+// record in the ledger and in every shard. Each refresh parses only the
+// bytes appended since the previous one, so a worker's scan cost grows
+// with the fleet's output, not with output x refreshes. Per file it keeps
+// the (device, inode) pair and the offset just past the last complete
+// '\n' line; a partial last line waits for the next refresh. A file whose
+// inode changed or that shrank below the offset (merge_fleet's rename)
+// is re-read from byte 0 and schema-checked again. Keys only accumulate:
+// a file that disappears keeps its keys.
+class fleet_scan {
+public:
+    explicit fleet_scan(std::string ledger) : paths_{std::move(ledger)} {}
+
+    // Reads what the ledger and the current shards gained since the last
+    // refresh. Throws anole::error when a file's first line is a schema
+    // header of another version.
+    const std::set<std::string>& refresh();
+
+private:
+    struct cursor {
+        std::uint64_t device = 0;
+        std::uint64_t inode = 0;
+        std::uint64_t offset = 0;  // just past the last complete line read
+        campaign_ledger_reader reader;
+    };
+    void read(const std::string& path);
+
+    fleet_paths paths_;
+    std::map<std::string, cursor> files_;
+    std::set<std::string> done_;
+};
+
 struct fleet_options {
     std::string worker_id;    // empty = fleet_worker_id()
     std::uint64_t lease_ttl = 60;  // seconds
@@ -121,10 +155,11 @@ struct fleet_report {
     std::size_t left_leased = 0;   // pending groups held live by others at exit
 };
 
-// Runs one fleet worker to completion: repeatedly scans the ledger and
-// every shard for finished unit keys, claims an unfinished topology
-// group, runs it through run_campaign_units, appends the records to this
-// worker's shard (flushed per group) and releases the lease. Exits when
+// Runs one fleet worker to completion: repeatedly refreshes its
+// fleet_scan of the ledger and every shard for finished unit keys,
+// claims an unfinished topology group, runs it through
+// run_campaign_units, appends the records to this worker's shard
+// (flushed per group) and releases the lease. Exits when
 // a full pass claims nothing — every remaining pending group is then
 // held by a live peer, which will finish it. spec.output must be set.
 fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner,

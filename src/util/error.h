@@ -24,4 +24,10 @@ inline void require(bool cond, const std::string& msg) {
     if (!cond) throw error(msg);
 }
 
+// Literal messages take this overload, so a passing check allocates no
+// std::string (hot per-field checks such as json_value::as_string).
+inline void require(bool cond, const char* msg) {
+    if (!cond) throw error(msg);
+}
+
 }  // namespace anole

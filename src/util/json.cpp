@@ -45,7 +45,7 @@ bool json_value::contains(const std::string& key) const {
 const json_value& json_value::at(const std::string& key) const {
     const auto& o = as_object();
     auto it = o.find(key);
-    require(it != o.end(), "json: missing key '" + key + "'");
+    if (it == o.end()) throw error("json: missing key '" + key + "'");
     return it->second;
 }
 
@@ -58,13 +58,21 @@ public:
     json_value parse() {
         json_value v = value();
         skip_ws();
-        require(pos_ == text_.size(), err("trailing content after JSON value"));
+        check(pos_ == text_.size(), "trailing content after JSON value");
         return v;
     }
 
 private:
-    [[nodiscard]] std::string err(const std::string& what) const {
-        return "json parse error at byte " + std::to_string(pos_) + ": " + what;
+    // Messages are built only on the throw path: the checks below run on
+    // every byte of every ledger line a campaign reads back.
+    [[nodiscard]] std::string err(std::string_view what) const {
+        std::string msg = "json parse error at byte " + std::to_string(pos_) + ": ";
+        msg += what;
+        return msg;
+    }
+
+    void check(bool ok, const char* what) const {
+        if (!ok) throw error(err(what));
     }
 
     void skip_ws() {
@@ -76,12 +84,12 @@ private:
     }
 
     [[nodiscard]] char peek() {
-        require(pos_ < text_.size(), err("unexpected end of input"));
+        check(pos_ < text_.size(), "unexpected end of input");
         return text_[pos_];
     }
 
     void expect(char c) {
-        require(peek() == c, err(std::string("expected '") + c + "'"));
+        if (peek() != c) throw error(err(std::string("expected '") + c + "'"));
         ++pos_;
     }
 
@@ -92,22 +100,22 @@ private:
     }
 
     json_value value() {
-        require(depth_ < 256, err("nesting too deep"));
+        check(depth_ < 256, "nesting too deep");
         skip_ws();
         const char c = peek();
         if (c == '{') return object();
         if (c == '[') return array();
         if (c == '"') return json_value(string());
         if (c == 't') {
-            require(consume_literal("true"), err("bad literal"));
+            check(consume_literal("true"), "bad literal");
             return json_value(true);
         }
         if (c == 'f') {
-            require(consume_literal("false"), err("bad literal"));
+            check(consume_literal("false"), "bad literal");
             return json_value(false);
         }
         if (c == 'n') {
-            require(consume_literal("null"), err("bad literal"));
+            check(consume_literal("null"), "bad literal");
             return json_value(nullptr);
         }
         return number();
@@ -171,16 +179,16 @@ private:
         expect('"');
         std::string out;
         while (true) {
-            require(pos_ < text_.size(), err("unterminated string"));
+            check(pos_ < text_.size(), "unterminated string");
             const char c = text_[pos_++];
             if (c == '"') break;
             if (c != '\\') {
-                require(static_cast<unsigned char>(c) >= 0x20,
-                        err("raw control character in string"));
+                check(static_cast<unsigned char>(c) >= 0x20,
+                      "raw control character in string");
                 out.push_back(c);
                 continue;
             }
-            require(pos_ < text_.size(), err("unterminated escape"));
+            check(pos_ < text_.size(), "unterminated escape");
             const char e = text_[pos_++];
             switch (e) {
                 case '"': out.push_back('"'); break;
@@ -199,7 +207,7 @@ private:
     }
 
     [[nodiscard]] unsigned hex4() {
-        require(pos_ + 4 <= text_.size(), err("truncated \\u escape"));
+        check(pos_ + 4 <= text_.size(), "truncated \\u escape");
         unsigned v = 0;
         for (int i = 0; i < 4; ++i) {
             const char c = text_[pos_++];
@@ -220,9 +228,9 @@ private:
     void append_codepoint(std::string& out) {
         unsigned cp = hex4();
         if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate: need a pair
-            require(consume_literal("\\u"), err("unpaired surrogate"));
+            check(consume_literal("\\u"), "unpaired surrogate");
             const unsigned lo = hex4();
-            require(lo >= 0xDC00 && lo <= 0xDFFF, err("bad low surrogate"));
+            check(lo >= 0xDC00 && lo <= 0xDFFF, "bad low surrogate");
             cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
         }
         // UTF-8 encode.
@@ -255,8 +263,8 @@ private:
         double d = 0;
         const auto [ptr, ec] =
             std::from_chars(text_.data() + start, text_.data() + pos_, d);
-        require(ec == std::errc{} && ptr == text_.data() + pos_ && pos_ > start,
-                err("bad number"));
+        check(ec == std::errc{} && ptr == text_.data() + pos_ && pos_ > start,
+              "bad number");
         return json_value(d);
     }
 

@@ -406,19 +406,18 @@ TEST(Campaign, IncompatibleSchemaVersionRejected) {
         std::ofstream out(path, std::ios::trunc);
         out << "{\"schema\":\"anole-campaign\",\"version\":99}\n";
     }
-    EXPECT_THROW(check_campaign_ledger_schema(path), error);
     EXPECT_THROW((void)load_campaign_ledger(path), error);
     scenario_runner runner(2);
     EXPECT_THROW((void)run_campaign(tiny_spec(path), runner), error);
     std::remove(path.c_str());
 
     // Missing and headerless files pass the check.
-    EXPECT_NO_THROW(check_campaign_ledger_schema(path));
+    EXPECT_NO_THROW((void)load_campaign_ledger(path));
     {
         std::ofstream out(path, std::ios::trunc);
         out << "{\"key\":\"not-a-header\"}\n";
     }
-    EXPECT_NO_THROW(check_campaign_ledger_schema(path));
+    EXPECT_NO_THROW((void)load_campaign_ledger(path));
     std::remove(path.c_str());
 }
 

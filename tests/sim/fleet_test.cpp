@@ -1,6 +1,7 @@
 // Tests for sim/fleet.h: lease exclusivity and reclaim, multi-worker
 // campaigns whose merged ledger is byte-identical to a single-worker
-// run, crashed-worker recovery, and merge schema rejection/idempotence.
+// run, crashed-worker recovery, merge schema rejection/idempotence, and
+// the workers' incremental ledger scans.
 #include "sim/fleet.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -329,6 +331,114 @@ TEST(FleetMerge, FoldsLegacyHeaderlessLedgerAndKeepsForeignRecords) {
         run_campaign(tiny_spec(ledger), resume_runner);
     EXPECT_EQ(resumed.executed, 0u);
     EXPECT_EQ(resumed.skipped, 12u);
+    wipe(ledger);
+}
+
+// --- incremental scans -------------------------------------------------------
+
+// The raw ledger line of expansion unit `i` of tiny_spec.
+std::string record_line(std::size_t i) {
+    campaign_record rec;
+    rec.unit = expand(tiny_spec("")).at(i);
+    rec.ok = true;
+    return rec.to_json();
+}
+
+// A schema header followed by the record lines of `units`.
+std::string ledger_text(std::initializer_list<std::size_t> units) {
+    std::string text = campaign_schema_header_line() + "\n";
+    for (const std::size_t i : units) text += record_line(i) + "\n";
+    return text;
+}
+
+std::string unit_key(std::size_t i) { return expand(tiny_spec("")).at(i).key(); }
+
+void append(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << bytes;
+}
+
+TEST(FleetScan, SeesRecordsPeersAppendBetweenRefreshes) {
+    const std::string ledger = temp_path("scan_append");
+    wipe(ledger);
+    const fleet_paths paths{ledger};
+    std::filesystem::create_directories(paths.dir());
+    append(ledger, ledger_text({0}));
+    append(paths.shard("peer"), ledger_text({1}));
+
+    fleet_scan scan(ledger);
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0), unit_key(1)}));
+    EXPECT_EQ(scan.refresh().size(), 2u);  // nothing new: nothing changes
+
+    // A peer appends to its shard, a second peer starts one.
+    append(paths.shard("peer"), record_line(2) + "\n");
+    append(paths.shard("late"), ledger_text({3}));
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0), unit_key(1),
+                                                     unit_key(2), unit_key(3)}));
+    wipe(ledger);
+}
+
+TEST(FleetScan, TornTailCountsOnlyOnceItsLineIsComplete) {
+    const std::string ledger = temp_path("scan_torn");
+    wipe(ledger);
+    const std::string line = record_line(4);
+    append(ledger, ledger_text({0}) + line.substr(0, line.size() / 2));
+
+    fleet_scan scan(ledger);
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0)}));
+    // Every byte of the record but its '\n': still a partial line.
+    append(ledger, line.substr(line.size() / 2));
+    EXPECT_EQ(scan.refresh().count(unit_key(4)), 0u);
+    append(ledger, "\n");
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0), unit_key(4)}));
+    wipe(ledger);
+}
+
+TEST(FleetScan, LedgerReplacedByMergeIsReread) {
+    const std::string ledger = temp_path("scan_replaced");
+    wipe(ledger);
+    const campaign_spec spec = tiny_spec(ledger);
+    const fleet_paths paths{ledger};
+    std::filesystem::create_directories(paths.dir());
+    // Junk lines make the pre-merge ledger longer than the merged one.
+    append(ledger, ledger_text({0}) + std::string(4096, 'x') + "\n");
+    fleet_scan scan(ledger);
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0)}));
+
+    // A shard the scan never saw is folded in and then removed: the new,
+    // shorter ledger is the only place its record lives.
+    append(paths.shard("gone"), ledger_text({5}));
+    (void)merge_fleet(spec);
+    std::filesystem::remove_all(paths.dir());
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0), unit_key(5)}));
+
+    // A longer replacement (new inode) whose new record sits before the
+    // old offset is re-read from byte 0 too.
+    const std::string tmp = ledger + ".replacement";
+    append(tmp, ledger_text({6, 0, 5}) + std::string(8192, 'y') + "\n");
+    ASSERT_EQ(std::rename(tmp.c_str(), ledger.c_str()), 0);
+    EXPECT_EQ(scan.refresh(), (std::set<std::string>{unit_key(0), unit_key(5),
+                                                     unit_key(6)}));
+    wipe(ledger);
+}
+
+TEST(FleetScan, IncompatibleShardAppearingMidRunThrows) {
+    const std::string ledger = temp_path("scan_bad_shard");
+    wipe(ledger);
+    const fleet_paths paths{ledger};
+    std::filesystem::create_directories(paths.dir());
+    append(ledger, ledger_text({0}));
+    fleet_scan scan(ledger);
+    EXPECT_EQ(scan.refresh().size(), 1u);
+
+    append(paths.shard("future"), "{\"schema\":\"anole-campaign\",\"version\":42}\n");
+    EXPECT_THROW((void)scan.refresh(), error);
+
+    // And a worker started against that fleet refuses to run.
+    scenario_runner runner(1);
+    fleet_options opt;
+    opt.worker_id = "starter";
+    EXPECT_THROW((void)run_fleet_worker(tiny_spec(ledger), runner, opt), error);
     wipe(ledger);
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace anole {
 namespace {
 
@@ -51,6 +54,56 @@ TEST(Json, RejectsMalformedInput) {
          {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "01a", "1 2",
           "{\"a\" 1}", "\"bad \\x escape\"", "nul", "[1,2,]x"}) {
         EXPECT_THROW((void)json_parse(bad), error) << "input: " << bad;
+    }
+}
+
+// Every parser error names its byte offset; the table pins the exact
+// text so the error paths cannot drift when the parser is reworked.
+TEST(Json, MalformedInputMessagesPinTextAndOffset) {
+    struct bad_case {
+        std::string input;
+        const char* what;
+    };
+    const std::vector<bad_case> cases = {
+        {"\"abc", "json parse error at byte 4: unterminated string"},
+        {std::string("\"a\x01" "b\""),
+         "json parse error at byte 3: raw control character in string"},
+        {R"("\x")", "json parse error at byte 3: bad escape character"},
+        {R"("\)", "json parse error at byte 2: unterminated escape"},
+        {R"("\u12")", "json parse error at byte 3: truncated \\u escape"},
+        {R"("\u12G4")", "json parse error at byte 6: bad hex digit in \\u escape"},
+        {R"("\uD800x")", "json parse error at byte 7: unpaired surrogate"},
+        {R"("\uD800\u0041")", "json parse error at byte 13: bad low surrogate"},
+        {"-", "json parse error at byte 1: bad number"},
+        {"[1.2.3]", "json parse error at byte 6: bad number"},
+        {"1 2", "json parse error at byte 2: trailing content after JSON value"},
+        {R"({"a" 1})", "json parse error at byte 5: expected ':'"},
+        {R"({"a":1 2})", "json parse error at byte 7: expected '}'"},
+        {"[1 2]", "json parse error at byte 3: expected ']'"},
+        {"{1:2}", "json parse error at byte 1: expected '\"'"},
+        {"{", "json parse error at byte 1: unexpected end of input"},
+        {"", "json parse error at byte 0: unexpected end of input"},
+        {"tru", "json parse error at byte 0: bad literal"},
+        {std::string(257, '['), "json parse error at byte 256: nesting too deep"},
+    };
+    for (const bad_case& c : cases) {
+        try {
+            (void)json_parse(c.input);
+            ADD_FAILURE() << "no throw for input: " << c.input;
+        } catch (const error& e) {
+            EXPECT_STREQ(e.what(), c.what) << "input: " << c.input;
+        }
+    }
+    // 256 levels is the limit, not past it.
+    const std::string deepest = std::string(256, '[') + std::string(256, ']');
+    EXPECT_NO_THROW((void)json_parse(deepest));
+
+    const json_value v = json_parse(R"({"a": 1})");
+    try {
+        (void)v.at("missing");
+        ADD_FAILURE() << "no throw for a missing key";
+    } catch (const error& e) {
+        EXPECT_STREQ(e.what(), "json: missing key 'missing'");
     }
 }
 
