@@ -180,7 +180,9 @@ std::vector<layout_point> force_layout(const graph& g, const layout_options& opt
     std::vector<layout_point> disp(n);
     bh_quadtree tree;
 
-    constexpr std::size_t kBlock = 2048;
+    // Small enough that a 1024-node thumbnail spreads over a 4-thread
+    // pool; 256 tree walks per block still dwarf one job's queueing cost.
+    constexpr std::size_t kBlock = 256;
     const std::size_t blocks = (n + kBlock - 1) / kBlock;
 
     for (std::size_t it = 0; it < iters; ++it) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <set>
@@ -377,23 +378,41 @@ std::string gallery_html(const std::vector<campaign_record>& records,
     layout_svg_options svg_opt;
     svg_opt.max_edges = opt.thumb_edge_cap;
 
-    std::string s = "<div class=\"gallery\">";
-    for (const pick& p : picks) {
-        s += "<figure class=\"thumb\">";
-        if (p.n > opt.max_thumb_nodes) {
-            s += "<div class=\"thumb-skip\">n=" + std::to_string(p.n) +
-                 " exceeds the thumbnail cap</div>";
-        } else {
-            const graph g = make_family(p.family, p.n, p.topology_seed);
-            layout_options lo;
-            lo.seed = p.topology_seed;
-            lo.pool = &pool;
-            const std::vector<layout_point> pts = force_layout(g, lo);
-            s += layout_svg(g, pts, svg_opt);
+    // One job per pick, each writing only its own slot; the force pass
+    // inside shards over the same (helping) pool. Slots are joined in
+    // pick order, so the bytes do not depend on scheduling. Pool jobs
+    // must not throw: a failure is parked and the first one in pick
+    // order is rethrown, as the serial loop would have thrown it.
+    std::vector<std::string> figures(picks.size());
+    std::vector<std::exception_ptr> errors(picks.size());
+    pool.parallel_for(picks.size(), [&](std::size_t i) {
+        const pick& p = picks[i];
+        std::string& f = figures[i];
+        try {
+            f = "<figure class=\"thumb\">";
+            if (p.n > opt.max_thumb_nodes) {
+                f += "<div class=\"thumb-skip\">n=" + std::to_string(p.n) +
+                     " exceeds the thumbnail cap</div>";
+            } else {
+                const graph g = make_family(p.family, p.n, p.topology_seed);
+                layout_options lo;
+                lo.seed = p.topology_seed;
+                lo.pool = &pool;
+                const std::vector<layout_point> pts = force_layout(g, lo);
+                f += layout_svg(g, pts, svg_opt);
+            }
+            f += "<figcaption>" + html_escape(to_string(p.family)) + " · n=" +
+                 std::to_string(p.n) + "</figcaption></figure>";
+        } catch (...) {
+            errors[i] = std::current_exception();
         }
-        s += "<figcaption>" + html_escape(to_string(p.family)) + " · n=" +
-             std::to_string(p.n) + "</figcaption></figure>";
+    });
+    for (const std::exception_ptr& e : errors) {
+        if (e) std::rethrow_exception(e);
     }
+
+    std::string s = "<div class=\"gallery\">";
+    for (const std::string& f : figures) s += f;
     s += "</div>";
     return s;
 }

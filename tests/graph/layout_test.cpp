@@ -1,12 +1,14 @@
 // Tests for graph/layout.h: quadtree mass/centroid bookkeeping, the
 // Barnes–Hut approximation against the exact pairwise sum, closed-form
-// force sanity, bitwise determinism across thread-pool sizes, and the
-// SVG renderer's caps.
+// force sanity, bitwise determinism across thread-pool sizes (also when
+// the layout runs inside a job of its own pool), and the SVG renderer's
+// caps.
 #include "graph/layout.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "graph/generators.h"
 #include "sim/thread_pool.h"
@@ -112,6 +114,15 @@ TEST(BhQuadtree, FarClusterActsAsItsPointMass) {
     EXPECT_NEAR(f.y, 0.0, 1e-9);
 }
 
+void expect_bitwise_equal(const std::vector<layout_point>& got,
+                          const std::vector<layout_point>& want, const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t u = 0; u < got.size(); ++u) {
+        EXPECT_EQ(got[u].x, want[u].x) << what << " u=" << u;
+        EXPECT_EQ(got[u].y, want[u].y) << what << " u=" << u;
+    }
+}
+
 TEST(ForceLayout, SeedStableAndBitwiseIdenticalAcrossPoolSizes) {
     const graph g = make_family(graph_family::connected_caveman, 3000, 3);
 
@@ -126,18 +137,28 @@ TEST(ForceLayout, SeedStableAndBitwiseIdenticalAcrossPoolSizes) {
         EXPECT_LE(p.y, 1.0);
     }
 
-    // 3000 nodes span two 2048-blocks, so pools actually shard the pass.
+    // 3000 nodes span twelve 256-node blocks, so pools shard the pass.
     for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
         thread_pool pool(workers);
         layout_options sharded;
         sharded.seed = 11;
         sharded.pool = &pool;
-        const std::vector<layout_point> pts = force_layout(g, sharded);
-        ASSERT_EQ(pts.size(), base.size());
-        for (std::size_t u = 0; u < pts.size(); ++u) {
-            EXPECT_EQ(pts[u].x, base[u].x) << "workers=" << workers << " u=" << u;
-            EXPECT_EQ(pts[u].y, base[u].y) << "workers=" << workers << " u=" << u;
-        }
+        expect_bitwise_equal(force_layout(g, sharded), base,
+                             "workers=" + std::to_string(workers));
+    }
+
+    // n = 1024, the report's thumbnail size, is four blocks: it shards
+    // too, and stays equal to its serial layout.
+    const graph thumb = make_family(graph_family::erdos_renyi, 1024, 5);
+    layout_options thumb_serial;
+    thumb_serial.seed = 5;
+    const std::vector<layout_point> thumb_base = force_layout(thumb, thumb_serial);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        thread_pool pool(workers);
+        layout_options sharded = thumb_serial;
+        sharded.pool = &pool;
+        expect_bitwise_equal(force_layout(thumb, sharded), thumb_base,
+                             "n=1024 workers=" + std::to_string(workers));
     }
 
     // A different seed is a different embedding.
@@ -149,6 +170,35 @@ TEST(ForceLayout, SeedStableAndBitwiseIdenticalAcrossPoolSizes) {
         if (alt[u].x != base[u].x || alt[u].y != base[u].y) ++moved;
     }
     EXPECT_GT(moved, alt.size() / 2);
+}
+
+TEST(ForceLayout, NestedInAPoolJobEqualsSerial) {
+    // The report gallery lays out several graphs as jobs of one pool and
+    // shards each layout over that same pool: the nested, helping
+    // parallel_for must give each graph its serial coordinates.
+    const std::vector<graph> graphs = {
+        make_family(graph_family::watts_strogatz, 1024, 2),
+        make_family(graph_family::connected_caveman, 700, 3),
+        make_family(graph_family::torus, 1024, 4),
+    };
+    std::vector<std::vector<layout_point>> serial(graphs.size());
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        layout_options lo;
+        lo.seed = 20 + i;
+        serial[i] = force_layout(graphs[i], lo);
+    }
+
+    thread_pool pool(4);
+    std::vector<std::vector<layout_point>> nested(graphs.size());
+    pool.parallel_for(graphs.size(), [&](std::size_t i) {
+        layout_options lo;
+        lo.seed = 20 + i;
+        lo.pool = &pool;
+        nested[i] = force_layout(graphs[i], lo);
+    });
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        expect_bitwise_equal(nested[i], serial[i], "graph " + std::to_string(i));
+    }
 }
 
 TEST(ForceLayout, TinyGraphsAreWellDefined) {

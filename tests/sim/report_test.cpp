@@ -123,5 +123,55 @@ TEST(Report, WritesFileAndThrowsOnBadPath) {
         error);
 }
 
+TEST(Report, GalleryBytesIdenticalAcrossJobs) {
+    // Thumbnails are laid out concurrently, one pool job per family, and
+    // each force pass shards over the same pool. The document must not
+    // depend on that scheduling: same bytes for every pool size. One
+    // family at n = 1024 makes its layout shard across several blocks.
+    struct fam {
+        graph_family family;
+        std::size_t n;
+    };
+    const std::vector<fam> fams = {{graph_family::wheel, 32},
+                                   {graph_family::erdos_renyi, 1024},
+                                   {graph_family::cycle, 48},
+                                   {graph_family::connected_caveman, 60},
+                                   {graph_family::watts_strogatz, 64},
+                                   {graph_family::star, 40}};
+    std::vector<campaign_record> records;
+    for (std::size_t i = 0; i < fams.size(); ++i) {
+        campaign_record r;
+        r.unit.family = fams[i].family;
+        r.unit.n = fams[i].n;
+        r.unit.topology_seed = 3;
+        r.unit.variant = algo_kind::flood_max;
+        r.unit.seed = 1;
+        r.nodes = fams[i].n;
+        r.ok = true;
+        r.success = true;
+        r.leaders = 1;
+        r.rounds = 10 + i;
+        r.messages = 100 * (i + 1);
+        records.push_back(r);
+    }
+
+    report_options opt;
+    opt.jobs = 1;
+    const std::string base = render_campaign_report(records, opt);
+    std::size_t figures = 0;
+    for (std::size_t at = base.find("<figure"); at != std::string::npos;
+         at = base.find("<figure", at + 1)) {
+        ++figures;
+    }
+    EXPECT_EQ(figures, fams.size());
+    // Captions appear in first-appearance order, not completion order.
+    EXPECT_LT(base.find("wheel · n=32"), base.find("erdos_renyi · n=1024"));
+    EXPECT_LT(base.find("erdos_renyi · n=1024"), base.find("star · n=40"));
+    for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
+        opt.jobs = jobs;
+        EXPECT_EQ(render_campaign_report(records, opt), base) << "jobs=" << jobs;
+    }
+}
+
 }  // namespace
 }  // namespace anole
