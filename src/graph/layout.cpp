@@ -244,6 +244,13 @@ std::vector<layout_point> force_layout(const graph& g, const layout_options& opt
 
 // --- SVG --------------------------------------------------------------------
 
+namespace {
+
+// A stride of ⌈count/cap⌉ draws ⌈count/stride⌉ ≤ cap items.
+std::size_t ceil_div(std::size_t count, std::size_t cap) { return (count + cap - 1) / cap; }
+
+}  // namespace
+
 std::string layout_svg(const graph& g, std::span<const layout_point> pts,
                        const layout_svg_options& opt) {
     require(pts.size() == g.num_nodes(), "layout_svg: pts/graph size mismatch");
@@ -262,7 +269,7 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
 
     const auto edges = g.edge_list();
     const std::size_t estride =
-        opt.max_edges == 0 ? 1 : std::max<std::size_t>(1, edges.size() / opt.max_edges);
+        opt.max_edges == 0 ? 1 : std::max<std::size_t>(1, ceil_div(edges.size(), opt.max_edges));
     std::snprintf(buf, sizeof buf,
                   "<g class=\"ge\" stroke=\"%s\" stroke-width=\"0.7\" "
                   "stroke-opacity=\"0.55\">",
@@ -278,7 +285,7 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     out += "</g>";
 
     const std::size_t nstride =
-        opt.max_nodes == 0 ? 1 : std::max<std::size_t>(1, pts.size() / opt.max_nodes);
+        opt.max_nodes == 0 ? 1 : std::max<std::size_t>(1, ceil_div(pts.size(), opt.max_nodes));
     std::snprintf(buf, sizeof buf, "<g class=\"gn\" fill=\"%s\">",
                   opt.node_color.c_str());
     out += buf;

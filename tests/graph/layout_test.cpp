@@ -237,19 +237,29 @@ TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
     capped.max_edges = 10;
     capped.max_nodes = 8;
     const std::string small = layout_svg(g, pts, capped);
-    std::size_t lines = 0, circles = 0;
-    for (std::size_t at = small.find("<line"); at != std::string::npos;
-         at = small.find("<line", at + 1)) {
-        ++lines;
-    }
-    for (std::size_t at = small.find("<circle"); at != std::string::npos;
-         at = small.find("<circle", at + 1)) {
-        ++circles;
-    }
-    EXPECT_LE(lines, 2u * 10u);  // stride rounding, never the full edge set
-    EXPECT_LE(circles, 2u * 8u);
-    EXPECT_GT(lines, 0u);
-    EXPECT_GT(circles, 0u);
+    const auto count = [](const std::string& s, const char* tag) {
+        std::size_t k = 0;
+        for (std::size_t at = s.find(tag); at != std::string::npos; at = s.find(tag, at + 1)) {
+            ++k;
+        }
+        return k;
+    };
+    // A stride of ⌈m/cap⌉ keeps the drawing within the cap: 126 edges at
+    // cap 10 draw 10 lines (a floor stride of 12 would draw 11).
+    EXPECT_LE(count(small, "<line"), 10u);
+    EXPECT_GE(count(small, "<line"), 5u);
+    EXPECT_LE(count(small, "<circle"), 8u);
+    EXPECT_GE(count(small, "<circle"), 4u);
+
+    // The report's default cap on a dense thumbnail: er(1024) has ~10⁴
+    // edges, and at most 4000 of them may be drawn.
+    const graph dense = make_family(graph_family::erdos_renyi, 1024, 1);
+    ASSERT_GT(dense.num_edges(), 2 * layout_svg_options{}.max_edges);
+    layout_options quick;
+    quick.iterations = 1;
+    const std::string big = layout_svg(dense, force_layout(dense, quick));
+    EXPECT_LE(count(big, "<line"), layout_svg_options{}.max_edges);
+    EXPECT_GE(count(big, "<line"), layout_svg_options{}.max_edges / 2);
 
     // Mismatched spans are a programming error.
     EXPECT_THROW((void)layout_svg(g, std::vector<layout_point>(3)), error);
