@@ -232,8 +232,8 @@ std::size_t auto_iters(const graph& g, std::size_t requested) {
     return static_cast<std::size_t>(std::min(est, 4.0e6)) + 100;
 }
 
-// Shared power-iteration core: returns the converged unit vector in `v`
-// and the final Rayleigh quotient. `tol` bounds ‖Nv − ρv‖₂, computed from
+// Power-iteration core: leaves the converged unit vector in `v` and returns
+// the final Rayleigh quotient. `tol` bounds ‖Nv − ρv‖₂, computed from
 // ρ = v·w and ‖w‖ (no extra matvec: residual² = ‖w‖² − ρ² for unit v).
 double power_iterate(const graph& g, std::vector<double>& v,
                      const std::vector<double>& inv_sqrt_d,
@@ -307,31 +307,6 @@ std::vector<double> fiedler_vector(const graph& g, std::size_t iters, std::uint6
     opt.seed = seed;
     opt.pool = pool;
     return lanczos_lambda2(g, opt).fiedler;
-}
-
-std::vector<double> fiedler_vector_power(const graph& g, std::size_t iters,
-                                         std::uint64_t seed, double tol) {
-    const std::size_t n = g.num_nodes();
-    require(n >= 2, "fiedler_vector_power: n >= 2");
-    std::vector<double> inv_sqrt_d(n), top(n);
-    for (node_id u = 0; u < n; ++u) {
-        inv_sqrt_d[u] = 1.0 / std::sqrt(static_cast<double>(g.degree(u)));
-        top[u] = std::sqrt(static_cast<double>(g.degree(u)));
-    }
-    const double tn = norm2(top);
-    for (double& x : top) x /= tn;
-
-    xoshiro256ss rng(derive_seed(seed, n, 0xF1ED));
-    std::vector<double> v(n);
-    for (double& x : v) x = rng.uniform01() - 0.5;
-    deflate(v, top);
-    const double nv = norm2(v);
-    for (double& x : v) x /= nv;
-
-    power_iterate(g, v, inv_sqrt_d, top, auto_iters(g, iters), tol);
-    // Scale back: sweep cuts should order by the D^{-1/2}-scaled embedding.
-    for (std::size_t i = 0; i < n; ++i) v[i] *= inv_sqrt_d[i];
-    return v;
 }
 
 const char* to_string(profile_method m) noexcept {

@@ -20,8 +20,8 @@
 //     the dense path is the wall;
 //   * lambda2_lazy / fiedler_vector — second eigenpair of the symmetrized
 //     lazy walk via sparse Lanczos (graph/lanczos.h); the pre-Lanczos
-//     power-iteration-with-deflation paths remain as lambda2_power /
-//     fiedler_vector_power (now with residual-based early exit);
+//     power-iteration-with-deflation λ₂ remains as lambda2_power (with
+//     residual-based early exit), a cross-check for the Lanczos path;
 //   * profile() — the one-stop measurement bundle with per-field
 //     provenance, a cost model that picks the cheapest adequate tmix
 //     method, and thread-pool sharding throughout.
@@ -120,12 +120,6 @@ struct sampled_mixing_options {
 [[nodiscard]] std::vector<double> fiedler_vector(const graph& g, std::size_t iters = 0,
                                                  std::uint64_t seed = 7,
                                                  thread_pool* pool = nullptr);
-
-// Pre-Lanczos power-iteration path with residual-based early exit.
-[[nodiscard]] std::vector<double> fiedler_vector_power(const graph& g,
-                                                       std::size_t iters = 0,
-                                                       std::uint64_t seed = 7,
-                                                       double tol = 1e-9);
 
 // --- one-stop profile used by benches ---
 
