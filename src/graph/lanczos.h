@@ -7,11 +7,12 @@
 //     N = I/2 + D^{-1/2} A D^{-1/2} / 2        (symmetric, spectrum ⊆ [0,1])
 //
 // at sizes where power iteration with deflation (the pre-Lanczos path,
-// still exported as lambda2_power in graph/spectral.h) is hopeless: its error decays like (λ₃/λ₂)^t, which
-// on the low-gap families central to the paper's story (dumbbell,
-// caveman, cycle) means Θ(n²)-ish matvecs. Lanczos builds a Krylov basis
-// instead and extracts the Ritz pair from the tridiagonal projection —
-// tens to a few hundred matvecs for the same answer.
+// still exported as lambda2_power in graph/spectral.h) is hopeless: its
+// error decays like (λ₃/λ₂)^t, which on the low-gap families central to
+// the paper's story (dumbbell, caveman, cycle) means Θ(n²)-ish matvecs.
+// Lanczos builds a Krylov basis instead and extracts the Ritz pair from
+// the tridiagonal projection — tens to a few hundred matvecs for the same
+// answer.
 //
 // Implementation notes:
 //   * The known top eigenpair (√d, 1) is deflated explicitly: every new

@@ -246,8 +246,11 @@ std::vector<layout_point> force_layout(const graph& g, const layout_options& opt
 
 namespace {
 
-// A stride of ⌈count/cap⌉ draws ⌈count/stride⌉ ≤ cap items.
-std::size_t ceil_div(std::size_t count, std::size_t cap) { return (count + cap - 1) / cap; }
+// Every stride-th of `count` items, stride = ⌈count/cap⌉, is at most `cap`
+// items; cap 0 draws everything.
+std::size_t sample_stride(std::size_t count, std::size_t cap) {
+    return cap == 0 ? 1 : std::max<std::size_t>(1, (count + cap - 1) / cap);
+}
 
 }  // namespace
 
@@ -268,8 +271,7 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     out += buf;
 
     const auto edges = g.edge_list();
-    const std::size_t estride =
-        opt.max_edges == 0 ? 1 : std::max<std::size_t>(1, ceil_div(edges.size(), opt.max_edges));
+    const std::size_t estride = sample_stride(edges.size(), opt.max_edges);
     std::snprintf(buf, sizeof buf,
                   "<g class=\"ge\" stroke=\"%s\" stroke-width=\"0.7\" "
                   "stroke-opacity=\"0.55\">",
@@ -284,8 +286,7 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     }
     out += "</g>";
 
-    const std::size_t nstride =
-        opt.max_nodes == 0 ? 1 : std::max<std::size_t>(1, ceil_div(pts.size(), opt.max_nodes));
+    const std::size_t nstride = sample_stride(pts.size(), opt.max_nodes);
     std::snprintf(buf, sizeof buf, "<g class=\"gn\" fill=\"%s\">",
                   opt.node_color.c_str());
     out += buf;

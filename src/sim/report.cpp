@@ -381,8 +381,9 @@ std::string gallery_html(const std::vector<campaign_record>& records,
     // One job per pick, each writing only its own slot; the force pass
     // inside shards over the same (helping) pool. Slots are joined in
     // pick order, so the bytes do not depend on scheduling. Pool jobs
-    // must not throw: a failure is parked and the first one in pick
-    // order is rethrown, as the serial loop would have thrown it.
+    // must not throw: a failure is parked in its slot, and the first one
+    // in pick order is rethrown, so the error does not depend on it
+    // either.
     std::vector<std::string> figures(picks.size());
     std::vector<std::exception_ptr> errors(picks.size());
     pool.parallel_for(picks.size(), [&](std::size_t i) {

@@ -41,7 +41,10 @@ struct report_options {
     bool thumbnails = true;
     std::size_t max_thumb_nodes = 150000;
     std::size_t thumb_edge_cap = 4000;
-    // Worker threads for thumbnail layout; 0 = hardware concurrency.
+    // Worker threads for the gallery; 0 = hardware concurrency. One pool
+    // serves both levels: families lay out concurrently (one job per
+    // thumbnail), and each thumbnail's force pass shards over the same
+    // threads. The bytes are identical for every value.
     std::size_t jobs = 0;
 };
 

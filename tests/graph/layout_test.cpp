@@ -239,7 +239,8 @@ TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
     const std::string small = layout_svg(g, pts, capped);
     const auto count = [](const std::string& s, const char* tag) {
         std::size_t k = 0;
-        for (std::size_t at = s.find(tag); at != std::string::npos; at = s.find(tag, at + 1)) {
+        for (std::size_t at = s.find(tag); at != std::string::npos;
+             at = s.find(tag, at + 1)) {
             ++k;
         }
         return k;

@@ -173,5 +173,29 @@ TEST(Report, GalleryBytesIdenticalAcrossJobs) {
     }
 }
 
+TEST(Report, GalleryFailureSurfacesAsError) {
+    // A thumbnail whose graph cannot be built fails inside its pool job;
+    // the failure must surface from render_campaign_report as the error
+    // make_family threw, not terminate a worker thread.
+    std::vector<campaign_record> records(3);
+    records[0].unit.family = graph_family::star;
+    records[0].unit.n = 16;
+    records[1].unit.family = graph_family::path;
+    records[1].unit.n = 0;  // make_family needs n >= 1
+    records[2].unit.family = graph_family::wheel;
+    records[2].unit.n = 0;
+    for (campaign_record& r : records) r.unit.variant = algo_kind::flood_max;
+
+    report_options opt;
+    opt.jobs = 4;
+    try {
+        (void)render_campaign_report(records, opt);
+        ADD_FAILURE() << "expected anole::error";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("make_family: n >= 1"), std::string::npos)
+            << e.what();
+    }
+}
+
 }  // namespace
 }  // namespace anole
