@@ -18,6 +18,10 @@
 //   2. profile at scale — wall-clock for full profiles at n = 10^5.
 //   3. estimator agreement — Lanczos vs power-iteration λ₂, and the
 //      sampled-walk tmix vs the exact §2 evaluation, as identity gates.
+//   4. exact kernels — diameter_exact and conductance_exact +
+//      isoperimetric_exact against frozen replicas of the loops they
+//      replaced (one queue BFS per source; a from-scratch tally of every
+//      cut mask, run once per measure), with a bitwise-equality column.
 //
 // The committed baseline lives at BENCH_PROFILE.json in the repo root;
 // CI regenerates and gates against it like BENCH_ENGINE.json: speedup
@@ -31,9 +35,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -195,6 +202,107 @@ std::uint64_t legacy_tmix_steps(const graph_profile& p) {
     }
     return std::max<std::uint64_t>(1, p.mixing_time);
 }
+
+// --- legacy exact kernels ----------------------------------------------------
+//
+// diameter_exact as one std::queue BFS per source, and the exact cut
+// measures as a from-scratch O(n + m) tally of every mask's indicator
+// vector. profile() ran the cut enumeration once for Φ and once for i(G).
+
+std::vector<std::uint32_t> legacy_bfs_distances(const graph& g, node_id src) {
+    std::vector<std::uint32_t> dist(g.num_nodes(),
+                                    std::numeric_limits<std::uint32_t>::max());
+    std::queue<node_id> q;
+    dist[src] = 0;
+    q.push(src);
+    while (!q.empty()) {
+        const node_id u = q.front();
+        q.pop();
+        for (node_id v : g.neighbors(u)) {
+            if (dist[v] == std::numeric_limits<std::uint32_t>::max()) {
+                dist[v] = dist[u] + 1;
+                q.push(v);
+            }
+        }
+    }
+    return dist;
+}
+
+std::uint32_t legacy_diameter(const graph& g) {
+    std::uint32_t diam = 0;
+    for (node_id u = 0; u < g.num_nodes(); ++u) {
+        const auto dist = legacy_bfs_distances(g, u);
+        diam = std::max(diam, *std::max_element(dist.begin(), dist.end()));
+    }
+    return diam;
+}
+
+struct legacy_cut_tally {
+    std::uint64_t boundary = 0;
+    std::uint64_t size_s = 0;
+    std::uint64_t vol_s = 0;
+};
+
+template <class Fn>
+void legacy_enumerate_cuts(const graph& g, Fn&& fn) {
+    const std::size_t n = g.num_nodes();
+    const std::size_t limit = std::size_t{1} << (n - 1);
+    std::vector<bool> in_s(n, false);
+    for (std::size_t mask = 1; mask < limit; ++mask) {
+        for (std::size_t b = 0; b + 1 < n; ++b) in_s[b + 1] = ((mask >> b) & 1u) != 0;
+        legacy_cut_tally t;
+        for (node_id u = 0; u < n; ++u) {
+            if (!in_s[u]) continue;
+            ++t.size_s;
+            t.vol_s += g.degree(u);
+            for (node_id v : g.neighbors(u)) {
+                if (!in_s[v]) ++t.boundary;
+            }
+        }
+        fn(t);
+    }
+}
+
+double legacy_conductance_exact(const graph& g) {
+    double best = std::numeric_limits<double>::infinity();
+    const std::uint64_t vol_total = 2 * g.num_edges();
+    legacy_enumerate_cuts(g, [&](const legacy_cut_tally& t) {
+        const std::uint64_t vol_min = std::min(t.vol_s, vol_total - t.vol_s);
+        if (vol_min == 0) return;
+        best = std::min(best,
+                        static_cast<double>(t.boundary) / static_cast<double>(vol_min));
+    });
+    return best;
+}
+
+double legacy_isoperimetric_exact(const graph& g) {
+    double best = std::numeric_limits<double>::infinity();
+    const std::size_t n = g.num_nodes();
+    legacy_enumerate_cuts(g, [&](const legacy_cut_tally& t) {
+        const std::uint64_t s = std::min<std::uint64_t>(t.size_s, n - t.size_s);
+        if (s == 0) return;
+        best = std::min(best, static_cast<double>(t.boundary) / static_cast<double>(s));
+    });
+    return best;
+}
+
+// Fastest of at least 3 calls, repeating until `min_total` seconds have
+// been spent, so sub-millisecond kernels are not timed off one call.
+template <class Fn>
+double best_seconds(Fn&& fn, double min_total) {
+    double best = std::numeric_limits<double>::infinity();
+    double total = 0.0;
+    for (int rep = 0; rep < 3 || total < min_total; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const double s = seconds_since(t0);
+        best = std::min(best, s);
+        total += s;
+    }
+    return best;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 // --- output / baseline gate (same shape as bench_engine_micro) ---------------
 
@@ -423,6 +531,54 @@ int run(const options& opt) {
         return 2;
     }
 
+    // --- 4. exact kernels vs their legacy loops (ratio + identity gated) ---
+    text_table t4({"workload", "n", "m", "new s", "legacy s", "speedup", "same result"});
+    bool all_same = true;
+    const auto add_kernel_row = [&](const char* name, const graph& g, double new_s,
+                                    double legacy_s, bool same) {
+        all_same = all_same && same;
+        t4.add_row({name, fmt_count(g.num_nodes()), fmt_count(g.num_edges()),
+                    fmt_fixed(new_s, 5), fmt_fixed(legacy_s, 5),
+                    fmt_ratio(legacy_s / new_s), same ? "yes" : "NO"});
+    };
+    for (auto& w : std::vector<workload>{
+             {"diameter ba(1024)", make_family(graph_family::barabasi_albert, 1024, 1)},
+             {"diameter rgg(1024)", make_family(graph_family::random_geometric, 1024, 1)},
+             {"diameter caveman(1024)",
+              make_family(graph_family::connected_caveman, 1024, 1)}}) {
+        std::uint32_t d_new = 0, d_old = 0;
+        const double new_s = best_seconds([&] { d_new = diameter_exact(w.g); }, 0.2);
+        const double legacy_s = best_seconds([&] { d_old = legacy_diameter(w.g); }, 0.2);
+        add_kernel_row(w.name, w.g, new_s, legacy_s, d_new == d_old);
+    }
+    // Exact cuts run up to exact_cuts_n = 20 nodes in profile().
+    for (auto& w : std::vector<workload>{
+             {"cuts er(16)", make_family(graph_family::erdos_renyi, 16, 1)},
+             {"cuts grid(4x4)", make_grid2d(4, 4)},
+             {"cuts er(20)", make_family(graph_family::erdos_renyi, 20, 1)},
+             {"cuts grid(4x5)", make_grid2d(4, 5)}}) {
+        double phi_new = 0, iso_new = 0, phi_old = 0, iso_old = 0;
+        const double new_s = best_seconds(
+            [&] {
+                phi_new = conductance_exact(w.g);
+                iso_new = isoperimetric_exact(w.g);
+            },
+            0.2);
+        const double legacy_s = best_seconds(
+            [&] {
+                phi_old = legacy_conductance_exact(w.g);
+                iso_old = legacy_isoperimetric_exact(w.g);
+            },
+            0.2);
+        add_kernel_row(w.name, w.g, new_s, legacy_s,
+                       same_bits(phi_new, phi_old) && same_bits(iso_new, iso_old));
+    }
+    emit(tables, opt, "exact kernels", t4);
+    if (!all_same) {
+        std::fprintf(stderr, "exact kernel mismatch — properties.cpp bug\n");
+        return 2;
+    }
+
     if (!opt.json_out.empty()) {
         std::ofstream out(opt.json_out);
         if (!out) {
@@ -439,6 +595,8 @@ int run(const options& opt) {
             {"profile pipeline", "workload", "speedup", false},
             {"estimator agreement", "family", "lambda2 agree", true},
             {"estimator agreement", "family", "tmix agree", true},
+            {"exact kernels", "workload", "speedup", false},
+            {"exact kernels", "workload", "same result", true},
         };
         return run_check(opt.check, tables, checks);
     }

@@ -1,6 +1,7 @@
 #include "graph/properties.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -33,9 +34,47 @@ std::uint32_t eccentricity(const graph& g, node_id src) {
 }
 
 std::uint32_t diameter_exact(const graph& g) {
+    // Bit-parallel all-sources BFS (Then et al., "The More the Merrier",
+    // VLDB 2014): a batch of 256 sources gives each node one bit per
+    // source in kWords 64-bit lanes, and a BFS level is one pull pass
+    // next[v] = OR over u in N(v) of frontier[u], minus seen[v]. A level
+    // that sets no bit means every source in the batch is exhausted, so
+    // the number of levels that did set one is the batch's largest
+    // eccentricity.
+    constexpr std::size_t kWords = 4;
+    constexpr std::size_t kBatch = 64 * kWords;
+    const std::size_t n = g.num_nodes();
+    std::vector<std::uint64_t> seen(n * kWords), frontier(n * kWords), next(n * kWords);
     std::uint32_t diam = 0;
-    for (node_id u = 0; u < g.num_nodes(); ++u) {
-        diam = std::max(diam, eccentricity(g, u));
+    for (std::size_t first = 0; first < n; first += kBatch) {
+        std::fill(seen.begin(), seen.end(), 0);
+        std::fill(frontier.begin(), frontier.end(), 0);
+        for (std::size_t j = 0; j < std::min(kBatch, n - first); ++j) {
+            const std::size_t w = (first + j) * kWords + j / 64;
+            seen[w] = frontier[w] = std::uint64_t{1} << (j % 64);
+        }
+        std::uint32_t levels = 0;
+        for (;;) {
+            std::uint64_t grew = 0;
+            for (std::size_t v = 0; v < n; ++v) {
+                std::uint64_t acc[kWords] = {};
+                for (node_id u : g.neighbors(static_cast<node_id>(v))) {
+                    const std::uint64_t* f = &frontier[std::size_t{u} * kWords];
+                    for (std::size_t k = 0; k < kWords; ++k) acc[k] |= f[k];
+                }
+                std::uint64_t* s = &seen[v * kWords];
+                std::uint64_t* nx = &next[v * kWords];
+                for (std::size_t k = 0; k < kWords; ++k) {
+                    nx[k] = acc[k] & ~s[k];
+                    s[k] |= nx[k];
+                    grew |= nx[k];
+                }
+            }
+            if (grew == 0) break;
+            ++levels;
+            frontier.swap(next);
+        }
+        diam = std::max(diam, levels);
     }
     return diam;
 }
@@ -111,20 +150,35 @@ double cut_isoperimetric(const graph& g, const std::vector<bool>& in_s) {
 namespace {
 
 // Enumerates all proper cuts with node 0 fixed out of S (each unordered
-// partition once); calls fn(boundary, |S|, Vol(S)).
+// partition once); calls fn(tally) per cut. The order is a Gray code:
+// step i flips node countr_zero(i) + 1, so consecutive cuts differ in one
+// node u and the tally moves in O(deg u). With `inside` = |N(u) ∩ S|,
+// adding u to S changes |∂S| by deg(u) − 2·inside, removing it by
+// 2·inside − deg(u). The cuts visited, and so the tallies, are exactly
+// the masks 1 .. 2^(n-1) − 1; only the order differs.
 template <class Fn>
 void enumerate_cuts(const graph& g, Fn&& fn) {
     const std::size_t n = g.num_nodes();
     require(n >= 2, "enumerate_cuts: n >= 2");
     require(n <= 24, "enumerate_cuts: exact enumeration limited to n <= 24");
     const std::size_t limit = std::size_t{1} << (n - 1);
-    std::vector<bool> in_s(n, false);
-    for (std::size_t mask = 1; mask < limit; ++mask) {
-        // Gray-code-free simple re-tally would be O(2^n * m); use
-        // incremental flips via gray code: successive masks differ by the
-        // lowest set bit of the index.
-        for (std::size_t b = 0; b + 1 < n; ++b) in_s[b + 1] = ((mask >> b) & 1u) != 0;
-        const cut_tally t = tally_cut(g, in_s);
+    std::vector<unsigned char> in_s(n, 0);
+    cut_tally t;
+    for (std::size_t i = 1; i < limit; ++i) {
+        const node_id u = static_cast<node_id>(std::countr_zero(i)) + 1;
+        std::uint64_t inside = 0;
+        for (node_id v : g.neighbors(u)) inside += in_s[v];
+        const std::uint64_t deg = g.degree(u);
+        if (in_s[u] != 0) {
+            t.boundary = t.boundary + 2 * inside - deg;
+            --t.size_s;
+            t.vol_s -= deg;
+        } else {
+            t.boundary = t.boundary + deg - 2 * inside;
+            ++t.size_s;
+            t.vol_s += deg;
+        }
+        in_s[u] ^= 1;
         fn(t);
     }
 }
@@ -190,12 +244,9 @@ double sweep_best(const graph& g, const std::vector<double>& score, RatioFn&& ra
 
 double conductance_sweep(const graph& g, const std::vector<double>& score) {
     const std::uint64_t vol_total = 2 * g.num_edges();
-    const std::size_t n = g.num_nodes();
     return sweep_best(g, score,
-                      [vol_total, n](std::uint64_t boundary, std::uint64_t size_s,
-                                     std::uint64_t vol_s) {
-                          (void)n;
-                          (void)size_s;
+                      [vol_total](std::uint64_t boundary, std::uint64_t /*size_s*/,
+                                  std::uint64_t vol_s) {
                           const std::uint64_t vol_min =
                               std::min(vol_s, vol_total - vol_s);
                           return vol_min == 0
@@ -209,8 +260,7 @@ double isoperimetric_sweep(const graph& g, const std::vector<double>& score) {
     const std::size_t n = g.num_nodes();
     return sweep_best(
         g, score,
-        [n](std::uint64_t boundary, std::uint64_t size_s, std::uint64_t vol_s) {
-            (void)vol_s;
+        [n](std::uint64_t boundary, std::uint64_t size_s, std::uint64_t /*vol_s*/) {
             const std::uint64_t s = std::min<std::uint64_t>(size_s, n - size_s);
             return s == 0 ? std::numeric_limits<double>::infinity()
                           : static_cast<double>(boundary) / static_cast<double>(s);

@@ -4,10 +4,11 @@
 // (paper §4 and Theorem 3); this module provides exact values for small
 // graphs and certified bounds for larger ones:
 //
-//   * BFS machinery: distances, eccentricity, exact diameter (all-pairs
-//     for small n, double-sweep lower + eccentricity upper otherwise).
+//   * BFS machinery: distances, eccentricity, exact diameter (bit-parallel
+//     all-sources BFS), and double-sweep lower + eccentricity upper bounds
+//     for graphs too large for the exact one.
 //   * conductance Φ(G) (volume form, paper §2) and isoperimetric number
-//     i(G) (Mohar [23]): exact by subset enumeration for n <= ~24,
+//     i(G) (Mohar [23]): exact by Gray-code subset enumeration for n <= 24,
 //     sweep-cut upper bounds via the Fiedler vector otherwise
 //     (graph/spectral.h computes the vector).
 //
@@ -27,7 +28,9 @@ namespace anole {
 
 [[nodiscard]] std::uint32_t eccentricity(const graph& g, node_id src);
 
-// Exact diameter. O(n·m) — use for n up to a few thousand.
+// Exact diameter by bit-parallel all-sources BFS: ⌈n/256⌉ batches of 256
+// sources, each (D+1) pull passes of O(n + 2m) 4-word ORs. Returns the
+// same value as the max of eccentricity() over every node.
 [[nodiscard]] std::uint32_t diameter_exact(const graph& g);
 
 // [lower, upper] via double sweep + center eccentricity. O(m) per sweep.
@@ -54,7 +57,8 @@ struct degree_stats {
 // flipping to the complement if needed.
 [[nodiscard]] double cut_isoperimetric(const graph& g, const std::vector<bool>& in_s);
 
-// Exact Φ(G) by enumerating all 2^(n-1)-1 cuts. Requires n <= 24.
+// Exact Φ(G) by enumerating all 2^(n-1)-1 cuts in Gray-code order, one
+// node flip and O(deg) work per cut. Requires n <= 24.
 [[nodiscard]] double conductance_exact(const graph& g);
 
 // Exact i(G) by enumeration. Requires n <= 24.

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "graph/generators.h"
 
 namespace anole {
@@ -44,6 +48,27 @@ TEST(Diameter, EstimateBracketsExact) {
         EXPECT_LE(est.lower, exact) << to_string(fam);
         EXPECT_GE(est.upper, exact) << to_string(fam);
     }
+}
+
+// diameter_exact runs its BFSs 256 sources at a time, one bit per source
+// in four 64-bit lanes per node; the sizes straddle every lane and batch
+// boundary. The reference is one plain BFS per node.
+TEST(Diameter, BitParallelMatchesEveryEccentricity) {
+    const auto max_eccentricity = [](const graph& g) {
+        std::uint32_t d = 0;
+        for (node_id u = 0; u < g.num_nodes(); ++u) d = std::max(d, eccentricity(g, u));
+        return d;
+    };
+    for (graph_family f : all_families()) {
+        for (std::size_t n : {2, 3, 63, 64, 65, 255, 256, 257, 600}) {
+            const graph g = make_family(f, n, 5);
+            EXPECT_EQ(diameter_exact(g), max_eccentricity(g))
+                << to_string(f) << " n=" << n << " (built " << g.num_nodes() << ")";
+        }
+    }
+    const graph g =
+        make_family(graph_family::random_geometric, 257, 3).with_permuted_ports(11);
+    EXPECT_EQ(diameter_exact(g), max_eccentricity(g));
 }
 
 TEST(Degrees, Stats) {
@@ -92,6 +117,43 @@ TEST(Cuts, ExactValuesOnKnownGraphs) {
     // boundary 1, vol 3 -> 1/3.
     EXPECT_NEAR(conductance_exact(make_path(4)), 1.0 / 3.0, 1e-12);
     EXPECT_NEAR(isoperimetric_exact(make_path(4)), 1.0 / 2.0, 1e-12);
+}
+
+// The exact cut minima, computed the slow way: every mask rebuilt as an
+// indicator vector and measured by the public single-cut functions.
+struct cut_minima {
+    double conductance = std::numeric_limits<double>::infinity();
+    double isoperimetric = std::numeric_limits<double>::infinity();
+};
+
+cut_minima per_mask_minima(const graph& g) {
+    const std::size_t n = g.num_nodes();
+    cut_minima best;
+    std::vector<bool> in_s(n, false);
+    for (std::size_t mask = 1; mask < (std::size_t{1} << (n - 1)); ++mask) {
+        for (std::size_t b = 0; b + 1 < n; ++b) in_s[b + 1] = ((mask >> b) & 1u) != 0;
+        best.conductance = std::min(best.conductance, cut_conductance(g, in_s));
+        best.isoperimetric = std::min(best.isoperimetric, cut_isoperimetric(g, in_s));
+    }
+    return best;
+}
+
+TEST(Cuts, GrayCodeMatchesPerMaskRetally) {
+    for (graph_family f : all_families()) {
+        for (std::size_t n = 2; n <= 16; ++n) {
+            const graph g = make_family(f, n, 7);
+            ASSERT_LE(g.num_nodes(), 20u) << to_string(f) << " n=" << n;
+            const cut_minima want = per_mask_minima(g);
+            const double phi = conductance_exact(g);
+            const double iso = isoperimetric_exact(g);
+            EXPECT_EQ(std::memcmp(&phi, &want.conductance, sizeof phi), 0)
+                << to_string(f) << " n=" << n << ": " << phi << " vs "
+                << want.conductance;
+            EXPECT_EQ(std::memcmp(&iso, &want.isoperimetric, sizeof iso), 0)
+                << to_string(f) << " n=" << n << ": " << iso << " vs "
+                << want.isoperimetric;
+        }
+    }
 }
 
 TEST(Cuts, ExactLimitedToSmallN) {

@@ -260,5 +260,59 @@ TEST(Profile, BitwiseIdenticalAcrossPools) {
     }
 }
 
+// profile() bytes captured from the per-mask cut re-tally and the
+// one-queue-BFS-per-source diameter that the Gray-code and bit-parallel
+// kernels replaced. The n = 16 graphs take Φ and i(G) from the exact cut
+// enumeration; the n = 1024 graphs take D from the exact diameter.
+TEST(Profile, JsonPinnedAcrossKernelRewrite) {
+    struct pin {
+        graph_family family;
+        std::size_t n;
+        const char* json;
+    };
+    const pin pins[] = {
+        {graph_family::erdos_renyi, 16,
+         R"({"n":16,"m":66,"diameter":2,"conductance":0.39393939393939392,)"
+         R"("isoperimetric":3.25,"mixing_time":6,"lambda2":0.6695320883342406,)"
+         R"("exact_cuts":true,"diameter_method":"exact","conductance_method":"exact",)"
+         R"("isoperimetric_method":"exact","mixing_method":"exact",)"
+         R"("lambda2_converged":true})"},
+        {graph_family::grid2d, 16,
+         R"({"n":16,"m":24,"diameter":6,"conductance":0.16666666666666666,)"
+         R"("isoperimetric":0.5,"mixing_time":15,"lambda2":0.89086797998528588,)"
+         R"("exact_cuts":true,"diameter_method":"fact","conductance_method":"exact",)"
+         R"("isoperimetric_method":"exact","mixing_method":"exact",)"
+         R"("lambda2_converged":true})"},
+        {graph_family::barabasi_albert, 16,
+         R"({"n":16,"m":29,"diameter":3,"conductance":0.2857142857142857,)"
+         R"("isoperimetric":1,"mixing_time":14,"lambda2":0.83351732369417952,)"
+         R"("exact_cuts":true,"diameter_method":"exact","conductance_method":"exact",)"
+         R"("isoperimetric_method":"exact","mixing_method":"exact",)"
+         R"("lambda2_converged":true})"},
+        {graph_family::random_geometric, 1024,
+         R"({"n":1024,"m":7608,"diameter":24,"conductance":0.026769230769230771,)"
+         R"("isoperimetric":0.4009216589861751,"mixing_time":5982,)"
+         R"("lambda2":0.99740143707822471,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
+         R"("mixing_method":"spectral","lambda2_converged":true})"},
+        {graph_family::connected_caveman, 1024,
+         R"({"n":1024,"m":15872,"diameter":48,"conductance":0.00012600806451612903,)"
+         R"("isoperimetric":0.00390625,"mixing_time":801525,)"
+         R"("lambda2":0.99998183964985432,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
+         R"("mixing_method":"spectral","lambda2_converged":true})"},
+        {graph_family::watts_strogatz, 1024,
+         R"({"n":1024,"m":2048,"diameter":15,"conductance":0.090909090909090912,)"
+         R"("isoperimetric":0.36363636363636365,"mixing_time":366,)"
+         R"("lambda2":0.98666544452043592,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
+         R"("mixing_method":"simulated","lambda2_converged":true})"},
+    };
+    for (const pin& p : pins) {
+        EXPECT_EQ(profile(make_family(p.family, p.n, 1), 1).to_json(), p.json)
+            << to_string(p.family) << " n=" << p.n;
+    }
+}
+
 }  // namespace
 }  // namespace anole
