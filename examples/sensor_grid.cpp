@@ -74,13 +74,9 @@ int main(int argc, char** argv) {
                 field.num_nodes(), side, side);
 
     // --- phase 1: elect the coordinator ---
-    // The runner fills the model inputs (n, tmix, Φ) from the profile;
-    // phase 2 replays the same parameters, so fill them explicitly here.
-    const anole::irrevocable_params params =
-        anole::scenario_runner::fill(anole::irrevocable_params{}, prof);
-    const auto result =
-        runner.run(anole::scenario{"election", &field,
-                                   anole::irrevocable_cfg{params, {}}, seed, 1});
+    // The runner fills the model inputs (n, tmix, Φ) from the profile.
+    const auto result = runner.run(
+        anole::scenario{"election", &field, anole::irrevocable_cfg{}, seed, 1});
     if (!result.runs[0].ok) {
         std::printf("election run failed: %s\n", result.runs[0].error.c_str());
         return 1;
@@ -98,18 +94,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(election.totals.messages));
 
     // --- phase 2: the coordinator structures the field ---
-    // Identify the engine-side index of the leader to seed the beacon
-    // (the beacon itself is again fully anonymous).
-    anole::engine<anole::irrevocable_node> probe(field, seed);
-    probe.spawn([&](std::size_t u) {
-        return anole::irrevocable_node(field.degree(static_cast<anole::node_id>(u)),
-                                       params);
-    });
-    probe.run_rounds(params.total_rounds() + 1);
-    std::size_t leader_index = 0;
-    for (std::size_t u = 0; u < probe.num_nodes(); ++u) {
-        if (probe.node(u).is_leader()) leader_index = u;
-    }
+    // The driver reports the leader's vertex, which seeds the beacon (the
+    // beacon itself is again fully anonymous).
+    const std::size_t leader_index = election.leader_node;
 
     anole::engine<beacon_node> beacon(field, seed + 1);
     beacon.spawn([&](std::size_t u) {

@@ -1,38 +1,28 @@
-// topology_gallery — dump any zoo family as Graphviz DOT or as a
-// self-contained SVG via the in-tree Barnes–Hut force layout.
+// topology_gallery — render any zoo family as a self-contained SVG via
+// the in-tree Barnes–Hut force layout.
 //
 //   ./topology_gallery                      # list every family + alias
-//   ./topology_gallery wheel 32             # DOT of wheel(32) on stdout
-//   ./topology_gallery ba 48 7 | dot -Tsvg > ba.svg
-//   ./topology_gallery --svg ba 48 7 > ba.svg   # no Graphviz needed
+//   ./topology_gallery wheel 32 > wheel.svg
+//   ./topology_gallery ba 48 7 > ba.svg     # n = 48, seed 7
 //
 // docs/TOPOLOGIES.md pairs each catalog entry with its thumbnail
-// command; this is the binary those commands run. In DOT mode nodes are
-// colored by normalized degree so hubs (barabasi_albert, star, wheel)
-// and bottleneck anchors stand out; --svg renders through
+// command; this is the binary those commands run. Rendering goes through
 // graph/layout.h (deterministic in the seed, O(V log V + E) per
 // iteration), which is what the campaign HTML report's gallery uses.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <string>
+#include <vector>
 
-#include "graph/dot_export.h"
 #include "graph/generators.h"
 #include "graph/layout.h"
 
 using namespace anole;
 
 int main(int argc, char** argv) {
-    bool svg_mode = false;
-    if (argc > 1 && std::string(argv[1]) == "--svg") {
-        svg_mode = true;
-        --argc;
-        ++argv;
-    }
     if (argc < 2) {
         std::fprintf(stderr,
-                     "usage: topology_gallery [--svg] <family> [n=32] [seed=1]\n"
+                     "usage: topology_gallery <family> [n=32] [seed=1]\n"
                      "families:");
         for (const graph_family f : all_families()) {
             std::fprintf(stderr, " %s", to_string(f));
@@ -74,35 +64,16 @@ int main(int argc, char** argv) {
     try {
         const graph g = make_family(*family, n, seed);
 
-        if (svg_mode) {
-            layout_options lopt;
-            lopt.seed = seed;
-            const std::vector<layout_point> pts = force_layout(g, lopt);
-            layout_svg_options sopt;
-            sopt.width = 640;
-            sopt.height = 480;
-            sopt.node_radius = n <= 256 ? 3.0 : 1.6;
-            std::fprintf(stderr, "%s: %zu nodes, %zu edges\n", g.name().c_str(),
-                         g.num_nodes(), g.num_edges());
-            std::cout << layout_svg(g, pts, sopt) << "\n";
-            return 0;
-        }
-
-        dot_style style;
-        // Shade by degree: light for leaves, saturated for hubs.
-        const double dmax = static_cast<double>(g.max_degree());
-        style.node_attrs = [&](node_id u) {
-            const double t =
-                dmax > 0 ? static_cast<double>(g.degree(u)) / dmax : 0.0;
-            const int blue = 235 - static_cast<int>(150 * t);
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "style=filled, fillcolor=\"#%02x%02xff\"",
-                          blue, blue);
-            return std::string(buf);
-        };
+        layout_options lopt;
+        lopt.seed = seed;
+        const std::vector<layout_point> pts = force_layout(g, lopt);
+        layout_svg_options sopt;
+        sopt.width = 640;
+        sopt.height = 480;
+        sopt.node_radius = n <= 256 ? 3.0 : 1.6;
         std::fprintf(stderr, "%s: %zu nodes, %zu edges\n", g.name().c_str(),
                      g.num_nodes(), g.num_edges());
-        write_dot(std::cout, g, style);
+        std::cout << layout_svg(g, pts, sopt) << "\n";
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                 " (%llu CONGEST-charged rounds, %llu messages)\n",
                 static_cast<unsigned long long>(r.stable_round),
                 static_cast<unsigned long long>(r.rounds),
-                static_cast<unsigned long long>(r.congest_rounds),
+                static_cast<unsigned long long>(r.totals.congest_rounds),
                 static_cast<unsigned long long>(r.totals.messages));
     std::printf("\nWhy revocable? No algorithm can elect-and-stop without"
                 " knowing n (Theorem 2): run ./impossibility_walkthrough to"

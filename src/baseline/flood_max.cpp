@@ -9,36 +9,18 @@ flood_result run_flood_max(const graph& g, std::uint64_t diameter, std::uint64_t
     const auto nn = static_cast<std::uint64_t>(n);
     const std::uint64_t id_space = nn * nn * nn * nn;
 
-    engine<flood_max_node> eng(g, seed, budget);
-    if (dynamics.enabled()) eng.set_dynamics(dynamics, seed);
-    eng.spawn([&](std::size_t u) {
-        return flood_max_node(g.degree(static_cast<node_id>(u)), id_space, diameter + 1);
-    });
-    const auto probe = [&eng](std::size_t u) {
-        const auto& nd = eng.node(u);
-        node_status st;
-        st.decided = nd.done();
-        st.leader = nd.is_leader();
-        st.own_id = nd.id();
-        return st;
-    };
-    eng.set_status_probe(probe);
-    eng.set_phase("flood");
-    eng.run_until_halted(diameter + 3);
-
-    flood_result res;
-    res.rounds = eng.round();
-    res.totals = eng.metrics().total();
-    for (std::size_t u = 0; u < n; ++u) {
-        if (!eng.node_present(u) || eng.node_crashed(u)) continue;
-        if (eng.node(u).is_leader()) {
-            ++res.num_leaders;
-            res.leader_id = eng.node(u).id();
-        }
-    }
-    res.success = res.num_leaders == 1;
-    res.oracle = run_oracle(eng, probe, {.round_cap = diameter + 3});
-    return res;
+    return run_protocol<flood_max_node, flood_result>(
+        g, seed, budget, dynamics,
+        [&](std::size_t u) {
+            return flood_max_node(g.degree(static_cast<node_id>(u)), id_space,
+                                  diameter + 1);
+        },
+        [&](engine<flood_max_node>& eng) {
+            eng.set_phase("flood");
+            eng.run_until_halted(diameter + 3);
+            return oracle_options{.round_cap = diameter + 3};
+        },
+        [](const engine<flood_max_node>&, flood_result&) {});
 }
 
 }  // namespace anole

@@ -17,8 +17,8 @@
 #include <cstdint>
 
 #include "graph/graph.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
-#include "sim/oracle.h"
 #include "util/bit_codec.h"
 
 namespace anole {
@@ -66,6 +66,13 @@ public:
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
     [[nodiscard]] bool is_leader() const noexcept { return leader_; }
     [[nodiscard]] bool done() const noexcept { return done_; }
+    [[nodiscard]] node_status status() const noexcept {
+        node_status st;
+        st.decided = done_;
+        st.leader = leader_;
+        st.own_id = id_;
+        return st;
+    }
 
 private:
     std::size_t degree_;
@@ -78,14 +85,7 @@ private:
     bool done_ = false;
 };
 
-struct flood_result {
-    bool success = false;
-    std::size_t num_leaders = 0;  // leaders among live nodes
-    std::uint64_t leader_id = 0;
-    std::uint64_t rounds = 0;
-    phase_counters totals;
-    oracle_report oracle;  // sim/oracle.h safety verdicts
-};
+struct flood_result : run_outcome {};
 
 // Runs flood-max with `diameter` + 1 rounds of flooding. A non-trivial
 // `dynamics` spec (sim/dynamics.h) attaches the per-round adversary; the

@@ -112,43 +112,27 @@ gilbert_result run_gilbert(const graph& g, const gilbert_params& params,
     params.validate();
     require(params.n == g.num_nodes(), "run_gilbert: params.n must equal graph size");
 
-    engine<gilbert_node> eng(g, seed, budget);
-    if (dynamics.enabled()) eng.set_dynamics(dynamics, seed);
-    eng.spawn([&](std::size_t u) {
-        return gilbert_node(g.degree(static_cast<node_id>(u)), params);
-    });
-    const auto probe = [&eng](std::size_t u) {
-        const auto& nd = eng.node(u);
-        node_status st;
-        st.decided = nd.is_leader() || nd.killed();
-        st.leader = nd.is_leader();
-        st.own_id = nd.id();
-        return st;
-    };
-    eng.set_status_probe(probe);
-    eng.set_phase("gilbert");
-    eng.run_rounds(params.total_rounds() + 1);
-
-    gilbert_result res;
-    res.rounds = eng.round();
-    res.totals = eng.metrics().total();
-    std::uint64_t max_cand = 0;
-    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
-        if (!eng.node_present(u) || eng.node_crashed(u)) continue;
-        const auto& nd = eng.node(u);
-        if (nd.is_candidate()) {
-            ++res.num_candidates;
-            max_cand = std::max(max_cand, nd.id());
-        }
-        if (nd.is_leader()) {
-            ++res.num_leaders;
-            res.leader_id = nd.id();
-        }
-    }
-    res.success = res.num_leaders == 1;
-    res.max_candidate_won = res.success && res.leader_id == max_cand;
-    res.oracle = run_oracle(eng, probe, {.round_cap = params.total_rounds() + 1});
-    return res;
+    return run_protocol<gilbert_node, gilbert_result>(
+        g, seed, budget, dynamics,
+        [&](std::size_t u) {
+            return gilbert_node(g.degree(static_cast<node_id>(u)), params);
+        },
+        [&](engine<gilbert_node>& eng) {
+            eng.set_phase("gilbert");
+            eng.run_rounds(params.total_rounds() + 1);
+            return oracle_options{.round_cap = params.total_rounds() + 1};
+        },
+        [](const engine<gilbert_node>& eng, gilbert_result& res) {
+            std::uint64_t max_cand = 0;
+            for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+                if (!eng.node_present(u) || eng.node_crashed(u)) continue;
+                const auto& nd = eng.node(u);
+                if (!nd.is_candidate()) continue;
+                ++res.num_candidates;
+                max_cand = std::max(max_cand, nd.id());
+            }
+            res.max_candidate_won = res.success && res.leader_id == max_cand;
+        });
 }
 
 }  // namespace anole

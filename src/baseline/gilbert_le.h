@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
-#include "sim/oracle.h"
 #include "util/bit_codec.h"
 
 namespace anole {
@@ -101,8 +101,14 @@ public:
     [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
     [[nodiscard]] bool is_leader() const noexcept { return leader_; }
-    [[nodiscard]] bool killed() const noexcept { return killed_; }
     [[nodiscard]] std::size_t marks() const noexcept { return crumbs_.size(); }
+    [[nodiscard]] node_status status() const noexcept {
+        node_status st;
+        st.decided = leader_ || killed_;
+        st.leader = leader_;
+        st.own_id = id_;
+        return st;
+    }
 
 private:
     struct crumb {
@@ -129,15 +135,9 @@ private:
     std::vector<char> out_used_;
 };
 
-struct gilbert_result {
-    bool success = false;
+struct gilbert_result : run_outcome {
     std::size_t num_candidates = 0;   // candidates among live nodes
-    std::size_t num_leaders = 0;      // leaders among live nodes
-    std::uint64_t leader_id = 0;
     bool max_candidate_won = false;
-    std::uint64_t rounds = 0;
-    phase_counters totals;
-    oracle_report oracle;  // sim/oracle.h safety verdicts
 };
 
 [[nodiscard]] gilbert_result run_gilbert(const graph& g, const gilbert_params& params,

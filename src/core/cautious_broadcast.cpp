@@ -122,4 +122,27 @@ std::optional<port_id> cb_exec::random_avail_port(xoshiro256ss& rng) {
     return std::nullopt;  // unreachable
 }
 
+cb_result run_cautious(const graph& g, const cb_config& cfg, std::uint64_t rounds,
+                       std::uint64_t source_id, std::uint64_t seed,
+                       congest_budget budget, const dynamics_spec& dynamics) {
+    return run_protocol<cautious_broadcast_node, cb_result>(
+        g, seed, budget, dynamics,
+        [&](std::size_t u) {
+            return cautious_broadcast_node(g.degree(static_cast<node_id>(u)), u == 0,
+                                           source_id, cfg, rounds);
+        },
+        [&](engine<cautious_broadcast_node>& eng) {
+            eng.run_until_halted(rounds + 2);
+            return oracle_options{.round_cap = rounds + 2};
+        },
+        [&](const engine<cautious_broadcast_node>& eng, cb_result& out) {
+            for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+                if (!eng.node_present(u) || eng.node_crashed(u)) continue;
+                if (eng.node(u).exec().in_tree()) ++out.territory;
+            }
+            // Trivially true on a 1-node graph.
+            out.success = out.territory >= 2 || g.num_nodes() == 1;
+        });
+}
+
 }  // namespace anole

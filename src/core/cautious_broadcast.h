@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/bit_codec.h"
 #include "util/error.h"
@@ -238,12 +239,35 @@ public:
     }
 
     [[nodiscard]] const cb_exec& exec() const noexcept { return exec_; }
+    // Broadcast elects nobody: `leader` stays false.
+    [[nodiscard]] node_status status() const noexcept {
+        node_status st;
+        st.decided = exec_.in_tree();
+        return st;
+    }
 
 private:
     cb_exec exec_;
     cb_config cfg_;
     std::uint64_t rounds_;
 };
+
+// --- experiment driver -------------------------------------------------------
+
+// `success` means the source recruited at least one other node (the
+// source is in its own tree by construction, so territory >= 1 always).
+struct cb_result : run_outcome {
+    std::size_t territory = 0;  // live nodes in the source's tree
+};
+
+// Node 0 is the source (ID `source_id`); everything else starts passive.
+// Runs `rounds` logical rounds, then every node halts.
+[[nodiscard]] cb_result run_cautious(const graph& g, const cb_config& cfg,
+                                     std::uint64_t rounds, std::uint64_t source_id,
+                                     std::uint64_t seed,
+                                     congest_budget budget =
+                                         congest_budget::strict_log(16),
+                                     const dynamics_spec& dynamics = {});
 
 // --- template implementation -----------------------------------------------
 

@@ -185,66 +185,49 @@ irrevocable_result run_irrevocable(const graph& g, const irrevocable_params& par
     require(params.n == g.num_nodes(),
             "run_irrevocable: params.n must equal the graph size");
 
-    engine<irrevocable_node> eng(g, seed, budget);
-    if (dynamics.enabled()) eng.set_dynamics(dynamics, seed);
-    eng.spawn([&](std::size_t u) {
-        return irrevocable_node(g.degree(static_cast<node_id>(u)), params);
-    });
-    const auto probe = [&eng](std::size_t u) {
-        const auto& nd = eng.node(u);
-        node_status st;
-        st.decided = nd.decided();
-        st.leader = nd.is_leader();
-        st.own_id = nd.id();
-        return st;
-    };
-    eng.set_status_probe(probe);
+    return run_protocol<irrevocable_node, irrevocable_result>(
+        g, seed, budget, dynamics,
+        [&](std::size_t u) {
+            return irrevocable_node(g.degree(static_cast<node_id>(u)), params);
+        },
+        [&](engine<irrevocable_node>& eng) {
+            eng.set_phase("broadcast");
+            eng.run_rounds(params.bc_end());
+            eng.set_phase("walk");
+            eng.run_rounds(params.walk_end() - params.bc_end());
+            eng.set_phase("convergecast");
+            eng.run_rounds(params.total_rounds() - params.walk_end());
+            eng.set_phase("decide");
+            eng.run_rounds(1);
+            return oracle_options{.round_cap = params.total_rounds() + 1};
+        },
+        [](const engine<irrevocable_node>& eng, irrevocable_result& res) {
+            res.phase_broadcast = eng.metrics().phase("broadcast");
+            res.phase_walk = eng.metrics().phase("walk");
+            res.phase_convergecast = eng.metrics().phase("convergecast");
 
-    eng.set_phase("broadcast");
-    eng.run_rounds(params.bc_end());
-    eng.set_phase("walk");
-    eng.run_rounds(params.walk_end() - params.bc_end());
-    eng.set_phase("convergecast");
-    eng.run_rounds(params.total_rounds() - params.walk_end());
-    eng.set_phase("decide");
-    eng.run_rounds(1);
-
-    irrevocable_result res;
-    res.rounds = eng.round();
-    res.totals = eng.metrics().total();
-    res.phase_broadcast = eng.metrics().phase("broadcast");
-    res.phase_walk = eng.metrics().phase("walk");
-    res.phase_convergecast = eng.metrics().phase("convergecast");
-
-    std::uint64_t max_cand_id = 0;
-    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
-        const auto& node = eng.node(u);
-        res.slot_overflows += node.slot_overflows();
-        if (!eng.node_present(u) || eng.node_crashed(u)) continue;
-        if (node.is_candidate()) {
-            ++res.num_candidates;
-            max_cand_id = std::max(max_cand_id, node.id());
-        }
-        if (node.is_leader()) {
-            ++res.num_leaders;
-            res.leader_id = node.id();
-        }
-    }
-    // Territory sizes: count tree membership per execution (candidate ID).
-    std::map<std::uint64_t, std::uint64_t> territory;
-    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
-        for (const auto& [exec_id, e] : eng.node(u).executions()) {
-            if (e.in_tree()) ++territory[exec_id];
-        }
-    }
-    for (const auto& [exec_id, count] : territory) {
-        (void)exec_id;
-        res.territory_sizes.push_back(count);
-    }
-    res.success = res.num_leaders == 1;
-    res.max_candidate_won = res.num_leaders == 1 && res.leader_id == max_cand_id;
-    res.oracle = run_oracle(eng, probe, {.round_cap = params.total_rounds() + 1});
-    return res;
+            std::uint64_t max_cand_id = 0;
+            // Territory sizes: count tree membership per execution
+            // (candidate ID).
+            std::map<std::uint64_t, std::uint64_t> territory;
+            for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+                const auto& node = eng.node(u);
+                res.slot_overflows += node.slot_overflows();
+                for (const auto& [exec_id, e] : node.executions()) {
+                    if (e.in_tree()) ++territory[exec_id];
+                }
+                if (!eng.node_present(u) || eng.node_crashed(u)) continue;
+                if (node.is_candidate()) {
+                    ++res.num_candidates;
+                    max_cand_id = std::max(max_cand_id, node.id());
+                }
+            }
+            for (const auto& [exec_id, count] : territory) {
+                (void)exec_id;
+                res.territory_sizes.push_back(count);
+            }
+            res.max_candidate_won = res.success && res.leader_id == max_cand_id;
+        });
 }
 
 }  // namespace anole

@@ -44,8 +44,8 @@
 #include "core/cautious_broadcast.h"
 #include "core/params.h"
 #include "graph/graph.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
-#include "sim/oracle.h"
 #include "util/bit_codec.h"
 
 namespace anole {
@@ -96,7 +96,6 @@ public:
     [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
     [[nodiscard]] bool is_leader() const noexcept { return leader_; }
-    [[nodiscard]] bool decided() const noexcept { return decided_; }
     [[nodiscard]] std::uint64_t id_max() const noexcept { return id_max_; }
     [[nodiscard]] const std::map<std::uint64_t, cb_exec>& executions() const noexcept {
         return execs_;
@@ -104,6 +103,13 @@ public:
     // Executions beyond the super-round slot capacity (whp zero; §4).
     [[nodiscard]] std::size_t slot_overflows() const noexcept { return overflows_; }
     [[nodiscard]] std::uint64_t walk_tokens() const noexcept { return walk_count_; }
+    [[nodiscard]] node_status status() const noexcept {
+        node_status st;
+        st.decided = decided_;
+        st.leader = leader_;
+        st.own_id = id_;
+        return st;
+    }
 
 private:
     void init(node_ctx<ir_msg>& ctx);
@@ -145,20 +151,14 @@ private:
 
 // --- experiment driver -------------------------------------------------------
 
-struct irrevocable_result {
-    bool success = false;         // exactly one leader flag raised
+struct irrevocable_result : run_outcome {
     std::size_t num_candidates = 0;
-    std::size_t num_leaders = 0;
-    std::uint64_t leader_id = 0;  // if exactly one
     bool max_candidate_won = false;
     std::size_t slot_overflows = 0;
-    std::uint64_t rounds = 0;
-    phase_counters totals;
     phase_counters phase_broadcast;
     phase_counters phase_walk;
     phase_counters phase_convergecast;
     std::vector<std::uint64_t> territory_sizes;  // per candidate (tree size)
-    oracle_report oracle;  // sim/oracle.h safety verdicts
 };
 
 // Runs the full protocol on `g` with fresh per-node randomness derived

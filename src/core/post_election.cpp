@@ -53,20 +53,10 @@ explicit_result run_explicit_irrevocable(const graph& g,
     out.election = run_irrevocable(g, params, seed);
     if (!out.election.success) return out;
 
-    // Locate the winner engine-side (harness knowledge only; the
+    // The driver knows the winner's vertex (harness knowledge only; the
     // announcement protocol itself stays anonymous).
-    engine<irrevocable_node> probe(g, seed);
-    probe.spawn([&](std::size_t u) {
-        return irrevocable_node(g.degree(static_cast<node_id>(u)), params);
-    });
-    probe.run_rounds(params.total_rounds() + 1);
-    node_id root = 0;
-    for (std::size_t u = 0; u < probe.num_nodes(); ++u) {
-        if (probe.node(u).is_leader()) root = static_cast<node_id>(u);
-    }
-
-    out.announcement =
-        run_announce(g, root, out.election.leader_id, diameter, seed + 1);
+    out.announcement = run_announce(g, out.election.leader_node,
+                                    out.election.leader_id, diameter, seed + 1);
     out.success = out.announcement.all_know_leader;
     return out;
 }

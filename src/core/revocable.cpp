@@ -1,6 +1,7 @@
 #include "core/revocable.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace anole {
 
@@ -208,134 +209,125 @@ bool revocable_node::potential_above_tau() const {
 
 // ---------------------------------------------------------------------------
 
+namespace {
+
+using rev_engine = engine<revocable_node>;
+using leader_view = std::pair<std::uint64_t, std::uint64_t>;  // (id, certificate)
+
+// All convergence predicates quantify over *live* nodes only: a crashed
+// node's frozen view, or a departed node's slot, must not block the
+// survivors from reaching agreement (re-election after an assassination
+// is measured through exactly this).
+bool live(const rev_engine& eng, std::size_t u) {
+    return eng.node_present(u) && !eng.node_crashed(u);
+}
+
+bool views_consistent(const rev_engine& eng) {
+    bool any = false;
+    leader_view v{0, 0};
+    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+        if (!live(eng, u)) continue;
+        const auto& nd = eng.node(u);
+        if (nd.id() == 0 || nd.leader_id() == 0) return false;
+        const leader_view mine{nd.leader_id(), nd.leader_certificate()};
+        if (!any) {
+            any = true;
+            v = mine;
+        } else if (mine != v) {
+            return false;
+        }
+    }
+    return any;
+}
+
+bool past_cap(const rev_engine& eng, std::uint64_t k_cap) {
+    if (k_cap == 0) return false;
+    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+        if (live(eng, u) && eng.node(u).estimate() <= k_cap) return false;
+    }
+    return true;
+}
+
+leader_view first_live_view(const rev_engine& eng) {
+    for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+        if (!live(eng, u)) continue;
+        return {eng.node(u).leader_id(), eng.node(u).leader_certificate()};
+    }
+    return {0, 0};
+}
+
+}  // namespace
+
 revocable_result run_revocable(const graph& g, const revocable_params& params,
                                std::uint64_t seed, std::uint64_t max_rounds,
                                congest_budget budget, const dynamics_spec& dynamics) {
     params.validate();
 
-    engine<revocable_node> eng(g, seed, budget);
-    if (dynamics.enabled()) eng.set_dynamics(dynamics, seed);
-    eng.spawn([&](std::size_t u) {
-        return revocable_node(g.degree(static_cast<node_id>(u)), params);
-    });
-    const auto probe = [&eng](std::size_t u) {
-        const auto& nd = eng.node(u);
-        node_status st;
-        st.decided = nd.id() != 0;
-        st.leader = nd.leader();
-        st.own_id = nd.id();
-        st.own_cert = nd.certificate();
-        st.view_id = nd.leader_id();
-        st.view_cert = nd.leader_certificate();
-        return st;
-    };
-    eng.set_status_probe(probe);
-
-    // All convergence predicates quantify over *live* nodes only: a
-    // crashed node's frozen view, or a departed node's slot, must not
-    // block the survivors from reaching agreement (re-election after an
-    // assassination is measured through exactly this).
-    const std::size_t n = eng.num_nodes();
-    auto live = [&](std::size_t u) -> bool {
-        return eng.node_present(u) && !eng.node_crashed(u);
-    };
-    auto views_consistent = [&]() -> bool {
-        bool any = false;
-        std::uint64_t vid = 0, vk = 0;
-        for (std::size_t u = 0; u < n; ++u) {
-            if (!live(u)) continue;
-            const auto& nd = eng.node(u);
-            if (nd.id() == 0 || nd.leader_id() == 0) return false;
-            if (!any) {
-                any = true;
-                vid = nd.leader_id();
-                vk = nd.leader_certificate();
-            } else if (nd.leader_id() != vid || nd.leader_certificate() != vk) {
-                return false;
-            }
-        }
-        return any;
-    };
-    auto past_cap = [&]() -> bool {
-        if (params.k_cap == 0) return false;
-        for (std::size_t u = 0; u < n; ++u) {
-            if (live(u) && eng.node(u).estimate() <= params.k_cap) return false;
-        }
-        return true;
-    };
-    auto first_live_view = [&]() -> std::pair<std::uint64_t, std::uint64_t> {
-        for (std::size_t u = 0; u < n; ++u) {
-            if (live(u)) {
-                return {eng.node(u).leader_id(), eng.node(u).leader_certificate()};
-            }
-        }
-        return {0, 0};
-    };
-
-    revocable_result res;
     bool reached = false;
-    try {
-        eng.run_until([&] { return views_consistent() || past_cap(); }, max_rounds);
-        reached = views_consistent();
-    } catch (const error&) {
-        reached = false;  // max_rounds exhausted: report what we have
-    }
-
-    res.stable_round = eng.round();
-    const auto [view_id, view_k] =
-        reached ? first_live_view() : std::pair<std::uint64_t, std::uint64_t>{0, 0};
-
-    if (reached) {
-        // Revocability check: once every node has chosen an ID and all
-        // views agree, no undominated (ID, certificate) pair can still be
-        // in flight, so views are provably final; we nevertheless run a
-        // bounded verification window and assert they did not move. (A
-        // full extra estimate would be the airtight check, but its cost
-        // grows ~k^{4(2+ε)} in blind mode — the window is the documented
-        // substitution.)
-        const std::uint64_t extra =
-            std::min<std::uint64_t>(res.stable_round / 2 + 1000, 200'000);
-        eng.run_rounds(extra);
-    }
-
-    res.rounds = eng.round();
-    res.totals = eng.metrics().total();
-    res.congest_rounds = eng.metrics().total().congest_rounds;
-
-    const auto [final_view_id, final_view_k] = first_live_view();
-    bool all_same = true;
-    std::size_t live_nodes = 0;
-    for (std::size_t u = 0; u < n; ++u) {
-        const auto& nd = eng.node(u);
-        // Cost/trace aggregates cover every incarnation that ran,
-        // including crashed nodes; correctness quantifiers below are
-        // live-only.
-        res.total_revocations += nd.revocations();
-        res.final_estimate = std::max(res.final_estimate, nd.estimate());
-        for (const auto& [k, tr] : nd.traces()) {
-            auto& agg = res.traces[k];
-            agg.empty_iterations += tr.empty_iterations;
-            agg.probing_iterations += tr.probing_iterations;
-            agg.iterations += tr.iterations;
-            agg.chose_here = agg.chose_here || tr.chose_here;
-        }
-        if (!live(u)) continue;
-        ++live_nodes;
-        if (nd.leader()) {
-            ++res.num_leaders;
-            res.leader_id = nd.id();
-            res.leader_certificate = nd.certificate();
-        }
-        if (nd.id() != 0) ++res.nodes_chose;
-        if (nd.leader_id() != final_view_id || nd.leader_certificate() != final_view_k) {
-            all_same = false;
-        }
-    }
-    res.success = reached && all_same && res.num_leaders == 1 &&
-                  res.nodes_chose == live_nodes && live_nodes > 0 &&
-                  final_view_id == view_id && final_view_k == view_k;
-    res.oracle = run_oracle(eng, probe, {.check_views = reached});
-    return res;
+    std::uint64_t stable_round = 0;
+    leader_view view{0, 0};  // the agreed view when first reached
+    return run_protocol<revocable_node, revocable_result>(
+        g, seed, budget, dynamics,
+        [&](std::size_t u) {
+            return revocable_node(g.degree(static_cast<node_id>(u)), params);
+        },
+        [&](rev_engine& eng) {
+            try {
+                eng.run_until(
+                    [&] { return views_consistent(eng) || past_cap(eng, params.k_cap); },
+                    max_rounds);
+                reached = views_consistent(eng);
+            } catch (const error&) {
+                reached = false;  // max_rounds exhausted: report what we have
+            }
+            stable_round = eng.round();
+            if (reached) {
+                view = first_live_view(eng);
+                // Revocability check: once every node has chosen an ID and
+                // all views agree, no undominated (ID, certificate) pair can
+                // still be in flight, so views are provably final; we
+                // nevertheless run a bounded verification window and assert
+                // they did not move. (A full extra estimate would be the
+                // airtight check, but its cost grows ~k^{4(2+ε)} in blind
+                // mode — the window is the documented substitution.)
+                eng.run_rounds(
+                    std::min<std::uint64_t>(stable_round / 2 + 1000, 200'000));
+            }
+            return oracle_options{.check_views = reached};
+        },
+        [&](const rev_engine& eng, revocable_result& res) {
+            res.stable_round = stable_round;
+            const leader_view final_view = first_live_view(eng);
+            bool all_same = true;
+            std::size_t live_nodes = 0;
+            for (std::size_t u = 0; u < eng.num_nodes(); ++u) {
+                const auto& nd = eng.node(u);
+                // Cost/trace aggregates cover every incarnation that ran,
+                // including crashed nodes; correctness quantifiers below
+                // are live-only.
+                res.total_revocations += nd.revocations();
+                res.final_estimate = std::max(res.final_estimate, nd.estimate());
+                for (const auto& [k, tr] : nd.traces()) {
+                    auto& agg = res.traces[k];
+                    agg.empty_iterations += tr.empty_iterations;
+                    agg.probing_iterations += tr.probing_iterations;
+                    agg.iterations += tr.iterations;
+                    agg.chose_here = agg.chose_here || tr.chose_here;
+                }
+                if (!live(eng, u)) continue;
+                ++live_nodes;
+                if (nd.id() != 0) ++res.nodes_chose;
+                if (leader_view{nd.leader_id(), nd.leader_certificate()} != final_view) {
+                    all_same = false;
+                }
+            }
+            if (res.num_leaders > 0) {
+                res.leader_certificate = eng.node(res.leader_node).certificate();
+            }
+            res.success = reached && all_same && res.num_leaders == 1 &&
+                          res.nodes_chose == live_nodes && live_nodes > 0 &&
+                          final_view == view;
+        });
 }
 
 }  // namespace anole

@@ -40,8 +40,8 @@
 #include "core/diffusion.h"
 #include "core/params.h"
 #include "graph/graph.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
-#include "sim/oracle.h"
 #include "util/bit_codec.h"
 #include "util/dyadic.h"
 
@@ -78,6 +78,16 @@ public:
     [[nodiscard]] std::uint64_t leader_certificate() const noexcept { return kldr_; }
     [[nodiscard]] bool leader() const noexcept { return leader_; }
     [[nodiscard]] std::uint64_t revocations() const noexcept { return revocations_; }
+    [[nodiscard]] node_status status() const noexcept {
+        node_status st;
+        st.decided = id_ != 0;
+        st.leader = leader_;
+        st.own_id = id_;
+        st.own_cert = cert_;
+        st.view_id = idldr_;
+        st.view_cert = kldr_;
+        return st;
+    }
     // Per-estimate trace for the Lemma 6-8 experiments (E10).
     struct estimate_trace {
         std::uint64_t empty_iterations = 0;    // no white detected
@@ -134,21 +144,17 @@ private:
 
 // --- experiment driver -------------------------------------------------------
 
-struct revocable_result {
-    bool success = false;            // unique leader flag at stop
-    std::size_t num_leaders = 0;
-    std::uint64_t leader_id = 0;
+// `success` additionally demands that every live node chose an ID and
+// all live views agree, before and after the verification window;
+// totals.congest_rounds is the bit-by-bit charged time.
+struct revocable_result : run_outcome {
     std::uint64_t leader_certificate = 0;
     std::uint64_t final_estimate = 0;          // k when stopped
     std::uint64_t stable_round = 0;            // first round views were final
-    std::uint64_t rounds = 0;                  // engine rounds executed
-    std::uint64_t congest_rounds = 0;          // bit-by-bit charged time
     std::uint64_t total_revocations = 0;       // leader-view changes after adoption
     std::size_t nodes_chose = 0;               // live nodes with an ID
-    phase_counters totals;
     // Aggregated per-estimate traces (summed over nodes), for E10.
     std::map<std::uint64_t, revocable_node::estimate_trace> traces;
-    oracle_report oracle;  // sim/oracle.h safety verdicts
 };
 
 // Runs until every node chose an ID, all leader views agree, and the view

@@ -1,11 +1,11 @@
 // anole — pool-based Barnes–Hut force-directed layout.
 //
 // The campaign HTML report (sim/report.h) and the topology gallery need
-// graph thumbnails at zoo scale. Graphviz DOT rendering — the PR-2 path —
-// is O(V²) in practice and external; this module replaces it with an
-// in-tree Fruchterman–Reingold spring embedder whose repulsion pass runs
-// through a Barnes–Hut quadtree, so one iteration costs O(V log V + E)
-// and a 10⁵-node instance lays out in seconds.
+// graph thumbnails at zoo scale. External Graphviz rendering is O(V²) in
+// practice; this module is an in-tree Fruchterman–Reingold spring
+// embedder whose repulsion pass runs through a Barnes–Hut quadtree, so
+// one iteration costs O(V log V + E) and a 10⁵-node instance lays out in
+// seconds.
 //
 // Determinism contract (the same one the engine and Lanczos keep):
 //   * initial positions derive from (seed, node index) alone;

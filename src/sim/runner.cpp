@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/engine.h"
-#include "sim/oracle.h"
 
 namespace anole {
 
@@ -32,56 +31,21 @@ revocable_params scenario_runner::fill(const revocable_cfg& c,
     return p;
 }
 
-// --- cautious-broadcast driver ----------------------------------------------
-
-namespace {
-
-cb_result run_cautious(const graph& g, const graph_profile& prof,
-                       const cautious_cfg& c, std::uint64_t seed,
-                       const dynamics_spec& dynamics) {
-    cb_config cfg = c.config;
+cautious_cfg scenario_runner::fill(cautious_cfg c, const graph_profile& prof) {
     if (c.cap_x > 0) {
         const double cap = c.cap_x * static_cast<double>(prof.mixing_time) *
                            prof.conductance;
-        cfg.cap = std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(cap)));
+        c.config.cap =
+            std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(cap)));
     }
-    std::uint64_t rounds = c.rounds;
-    if (rounds == 0) {
-        rounds = std::max<std::uint64_t>(
+    if (c.rounds == 0) {
+        c.rounds = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(
                    static_cast<double>(prof.mixing_time) *
                    std::log2(static_cast<double>(std::max<std::size_t>(prof.n, 2)))));
     }
-    engine<cautious_broadcast_node> eng(
-        g, seed, c.budget.value_or(congest_budget::strict_log(16)));
-    if (dynamics.enabled()) eng.set_dynamics(dynamics, seed);
-    eng.spawn([&](std::size_t u) {
-        return cautious_broadcast_node(g.degree(static_cast<node_id>(u)), u == 0,
-                                       c.source_id, cfg, rounds);
-    });
-    const auto probe = [&eng](std::size_t u) {
-        node_status st;
-        st.decided = eng.node(u).exec().in_tree();
-        return st;  // broadcast elects nobody: leader stays false
-    };
-    eng.set_status_probe(probe);
-    eng.run_until_halted(rounds + 2);
-
-    cb_result out;
-    out.rounds = eng.round();
-    out.totals = eng.metrics().total();
-    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
-        if (!eng.node_present(u) || eng.node_crashed(u)) continue;
-        if (eng.node(u).exec().in_tree()) ++out.territory;
-    }
-    // The source is always in its own tree; success means it recruited
-    // someone (trivially true on a 1-node graph).
-    out.success = out.territory >= 2 || g.num_nodes() == 1;
-    out.oracle = run_oracle(eng, probe, {.round_cap = rounds + 2});
-    return out;
+    return c;
 }
-
-}  // namespace
 
 // --- one repetition ----------------------------------------------------------
 
@@ -109,7 +73,9 @@ run_record scenario_runner::run_once(const graph& g, const graph_profile& prof,
                 g, fill(*rv, prof), seed, rv->max_rounds,
                 rv->budget.value_or(congest_budget::fragmenting(16)), dynamics);
         } else {
-            rec.detail = run_cautious(g, prof, std::get<cautious_cfg>(cfg), seed,
+            const cautious_cfg c = fill(std::get<cautious_cfg>(cfg), prof);
+            rec.detail = run_cautious(g, c.config, c.rounds, c.source_id, seed,
+                                      c.budget.value_or(congest_budget::strict_log(16)),
                                       dynamics);
         }
         rec.ok = true;

@@ -91,6 +91,8 @@ public:
     [[nodiscard]] static gilbert_params fill(gilbert_params p, const graph_profile& prof);
     [[nodiscard]] static revocable_params fill(const revocable_cfg& c,
                                                const graph_profile& prof);
+    // Resolves cap_x into config.cap and a zero round count to tmix·log2 n.
+    [[nodiscard]] static cautious_cfg fill(cautious_cfg c, const graph_profile& prof);
 
 private:
     scenario_result prepare(const scenario& s);

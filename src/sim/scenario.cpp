@@ -19,43 +19,29 @@ const char* to_string(algo_kind k) noexcept {
 
 namespace {
 
-// Unified views over the five result structs.
-template <class Fn>
-auto visit_detail(const algo_result& d, Fn&& fn) {
-    return std::visit(std::forward<Fn>(fn), d);
+// Every result alternative derives from run_outcome.
+const run_outcome& outcome(const algo_result& d) noexcept {
+    return std::visit([](const auto& r) -> const run_outcome& { return r; }, d);
 }
 
 }  // namespace
 
-bool run_record::success() const noexcept {
-    if (!ok) return false;
-    return visit_detail(detail, [](const auto& r) { return r.success; });
-}
+bool run_record::success() const noexcept { return ok && outcome(detail).success; }
 
 std::size_t run_record::num_leaders() const noexcept {
-    if (!ok) return 0;
-    return visit_detail(detail, [](const auto& r) -> std::size_t {
-        if constexpr (requires { r.num_leaders; }) {
-            return r.num_leaders;
-        } else {
-            return 0;  // cautious broadcast does not elect
-        }
-    });
+    return ok ? outcome(detail).num_leaders : 0;
 }
 
 std::uint64_t run_record::rounds() const noexcept {
-    if (!ok) return 0;
-    return visit_detail(detail, [](const auto& r) { return r.rounds; });
+    return ok ? outcome(detail).rounds : 0;
 }
 
 phase_counters run_record::totals() const noexcept {
-    if (!ok) return {};
-    return visit_detail(detail, [](const auto& r) { return r.totals; });
+    return ok ? outcome(detail).totals : phase_counters{};
 }
 
 oracle_report run_record::oracle() const noexcept {
-    if (!ok) return {};
-    return visit_detail(detail, [](const auto& r) { return r.oracle; });
+    return ok ? outcome(detail).oracle : oracle_report{};
 }
 
 std::string run_record::verdict() const {

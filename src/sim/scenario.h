@@ -130,18 +130,7 @@ struct scenario {
 
 // --- results ----------------------------------------------------------------
 
-// Cautious broadcast outcome (the other algorithms reuse their driver
-// result structs).
-struct cb_result {
-    // The source recruited at least one other node (the source itself is
-    // in its own tree by construction, so territory >= 1 always).
-    bool success = false;
-    std::size_t territory = 0;  // live nodes in the source's tree
-    std::uint64_t rounds = 0;
-    phase_counters totals;
-    oracle_report oracle;  // sim/oracle.h safety verdicts
-};
-
+// Every driver result derives from run_outcome (sim/driver.h).
 using algo_result = std::variant<flood_result, gilbert_result, irrevocable_result,
                                  revocable_result, cb_result>;
 

@@ -18,7 +18,7 @@ TEST(Revocable, FaithfulBlindOnTinyCycle) {
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.num_leaders, 1u);
     EXPECT_EQ(r.nodes_chose, 4u);
-    EXPECT_GT(r.congest_rounds, r.rounds);  // bit-by-bit charging is real
+    EXPECT_GT(r.totals.congest_rounds, r.rounds);  // bit-by-bit charging is real
 }
 
 TEST(Revocable, FaithfulKnownIsoperimetricOnComplete) {
