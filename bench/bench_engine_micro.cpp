@@ -21,27 +21,23 @@
 //   --quick          tiny sizes (smoke only; numbers not baseline-comparable)
 //   --csv / --json   machine-readable output after each table
 //   --json-out FILE  write the JSON objects (one per line) to FILE
-//   --check FILE     compare against a baseline produced by --json-out:
-//                    the machine-independent speedup columns may not
-//                    fall below baseline/3 (a generous hard-regression
-//                    gate — both sides of each ratio run on the same
-//                    host, so runner speed cancels), and the identity
-//                    column must stay "yes". Exits 1 on regression.
+//   --check FILE     gate against a baseline produced by --json-out
+//                    (bench/gate.h): speedups may not fall below
+//                    baseline/3 and the identity column must stay "yes".
+//                    Exits 1 on regression; not allowed with --quick.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/gate.h"
 #include "core/random_walk.h"
 #include "graph/generators.h"
 #include "sim/engine.h"
-#include "util/json.h"
 #include "util/table.h"
 
 namespace anole {
@@ -297,128 +293,8 @@ bool parallel_identical(graph_family f, std::size_t n, std::uint64_t seed) {
            a.totals.bits == b.totals.bits;
 }
 
-// --- output / baseline gate --------------------------------------------------
-
-struct options {
-    bool quick = false;
-    bool csv = false;
-    bool json = false;
-    std::string json_out;
-    std::string check;
-};
-
-struct emitted {
-    std::string title;
-    text_table table;
-};
-
-void emit(std::vector<emitted>& sink, const options& opt, const std::string& title,
-          const text_table& t) {
-    std::cout << "\n== " << title << " ==\n";
-    t.print(std::cout);
-    if (opt.csv) {
-        std::cout << "-- csv --\n";
-        t.print_csv(std::cout);
-    }
-    if (opt.json) {
-        std::cout << "-- json --\n";
-        t.print_json(std::cout, title);
-    }
-    std::cout.flush();
-    sink.push_back(emitted{title, t});
-}
-
-// Parses a formatted cell ("1,234", "12.34", "8.52x") as a double.
-double cell_number(const std::string& s) {
-    std::string clean;
-    for (char c : s) {
-        if (c != ',' && c != 'x') clean.push_back(c);
-    }
-    return std::strtod(clean.c_str(), nullptr);
-}
-
-// Baseline gate: every (table, row-key, column) in `checks` must be at
-// least baseline/3; identity cells must equal "yes" in both.
-struct gate_column {
-    std::string title;     // table title
-    std::string key;       // header of the row-key column
-    std::string column;    // header of the gated column
-    bool identity = false; // "yes"-match instead of ratio
-};
-
-int run_check(const std::string& path, const std::vector<emitted>& tables,
-              const std::vector<gate_column>& checks) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "check: cannot open baseline '%s'\n", path.c_str());
-        return 1;
-    }
-    std::map<std::string, json_value> baseline;  // title -> object
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        json_value v = json_parse(line);
-        std::string title = v.at("title").as_string();
-        baseline.emplace(std::move(title), std::move(v));
-    }
-    // Current values, via the same JSON serialization.
-    std::map<std::string, json_value> current;
-    for (const auto& e : tables) {
-        std::ostringstream os;
-        e.table.print_json(os, e.title);
-        current.emplace(e.title, json_parse(os.str()));
-    }
-    int failures = 0;
-    for (const auto& c : checks) {
-        auto bit = baseline.find(c.title);
-        auto cit = current.find(c.title);
-        if (bit == baseline.end() || cit == current.end()) {
-            std::fprintf(stderr, "check: table '%s' missing (baseline: %s, current: %s)\n",
-                         c.title.c_str(), bit == baseline.end() ? "no" : "yes",
-                         cit == current.end() ? "no" : "yes");
-            ++failures;
-            continue;
-        }
-        // Index baseline rows by key column.
-        std::map<std::string, const json_value*> base_rows;
-        for (const auto& row : bit->second.at("rows").as_array()) {
-            base_rows.emplace(row.at(c.key).as_string(), &row);
-        }
-        for (const auto& row : cit->second.at("rows").as_array()) {
-            const std::string& key = row.at(c.key).as_string();
-            auto b = base_rows.find(key);
-            if (b == base_rows.end()) continue;  // new workload: not gated yet
-            const std::string& cur_cell = row.at(c.column).as_string();
-            const std::string& base_cell = b->second->at(c.column).as_string();
-            if (c.identity) {
-                if (cur_cell != "yes") {
-                    std::fprintf(stderr, "check: %s / %s / %s = '%s' (must be 'yes')\n",
-                                 c.title.c_str(), key.c_str(), c.column.c_str(),
-                                 cur_cell.c_str());
-                    ++failures;
-                }
-                continue;
-            }
-            const double cur = cell_number(cur_cell);
-            const double base = cell_number(base_cell);
-            if (base > 0 && cur < base / 3.0) {
-                std::fprintf(stderr,
-                             "check: hard regression: %s / %s / %s = %.3g, "
-                             "baseline %.3g (floor %.3g)\n",
-                             c.title.c_str(), key.c_str(), c.column.c_str(), cur,
-                             base, base / 3.0);
-                ++failures;
-            }
-        }
-    }
-    if (failures == 0) {
-        std::printf("check: OK — all gated columns within 3x of '%s'\n", path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
-}
-
-int run(const options& opt) {
-    std::vector<emitted> tables;
+int run(const bench::gate_options& opt) {
+    bench::gate_run gate(opt);
 
     // --- 1. round dispatch: flat slots vs legacy vector inboxes ---
     struct workload {
@@ -444,7 +320,7 @@ int run(const options& opt) {
                     fmt_fixed(r.legacy_mmsg_s, 2),
                     fmt_ratio(r.flat_mmsg_s / r.legacy_mmsg_s)});
     }
-    emit(tables, opt, "engine round throughput", t1);
+    gate.emit("engine round throughput", t1);
 
     // --- 2. walk ensembles: binomial rounds vs per-token rounds ---
     text_table t2({"graph", "tokens", "rounds", "binomial s", "per-token s",
@@ -480,7 +356,7 @@ int run(const options& opt) {
                     fmt_fixed(st, 3), fmt_ratio(st / sb),
                     fmt_fixed(token_steps / sb / 1e6, 1)});
     }
-    emit(tables, opt, "walk ensemble throughput", t2);
+    gate.emit("walk ensemble throughput", t2);
 
     // --- 3. sharded rounds identical to serial, across the whole zoo ---
     text_table t3({"family", "n", "identical"});
@@ -491,68 +367,26 @@ int run(const options& opt) {
         all_identical = all_identical && ok;
         t3.add_row({to_string(f), fmt_count(ident_n), ok ? "yes" : "NO"});
     }
-    emit(tables, opt, "parallel step identity", t3);
+    gate.emit("parallel step identity", t3);
     if (!all_identical) {
         std::fprintf(stderr, "parallel step diverged from serial — engine bug\n");
         return 2;
     }
 
-    if (!opt.json_out.empty()) {
-        std::ofstream out(opt.json_out);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n", opt.json_out.c_str());
-            return 2;
-        }
-        for (const auto& e : tables) e.table.print_json(out, e.title);
-    }
-
-    if (!opt.check.empty()) {
-        // Gate the *speedup* columns, not absolute throughput: both sides
-        // of each ratio run on the same machine in the same process, so
-        // the gate is machine-independent — a slower CI runner shifts
-        // flat and legacy alike and the ratio survives.
-        const std::vector<gate_column> checks = {
-            {"engine round throughput", "workload", "speedup", false},
-            {"walk ensemble throughput", "graph", "speedup", false},
-            {"parallel step identity", "family", "identical", true},
-        };
-        return run_check(opt.check, tables, checks);
-    }
-    return 0;
+    // Gate the *speedup* columns, not absolute throughput: both sides of
+    // each ratio run on the same machine in the same process, so the gate
+    // is machine-independent — a slower CI runner shifts flat and legacy
+    // alike and the ratio survives.
+    return gate.finish({
+        {"engine round throughput", "workload", "speedup", false},
+        {"walk ensemble throughput", "graph", "speedup", false},
+        {"parallel step identity", "family", "identical", true},
+    });
 }
 
 }  // namespace
 }  // namespace anole
 
 int main(int argc, char** argv) {
-    anole::options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--quick") {
-            opt.quick = true;
-        } else if (a == "--csv") {
-            opt.csv = true;
-        } else if (a == "--json") {
-            opt.json = true;
-        } else if (a == "--json-out") {
-            opt.json_out = value("--json-out");
-        } else if (a == "--check") {
-            opt.check = value("--check");
-        } else if (a == "--help" || a == "-h") {
-            std::printf("flags: --quick | --csv | --json | --json-out FILE |"
-                        " --check FILE\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "error: unknown flag '%s' (try --help)\n", a.c_str());
-            return 2;
-        }
-    }
-    return anole::run(opt);
+    return anole::run(anole::bench::gate_options::parse(argc, argv, false));
 }

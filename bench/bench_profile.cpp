@@ -24,33 +24,29 @@
 //      cut mask, run once per measure), with a bitwise-equality column.
 //
 // The committed baseline lives at BENCH_PROFILE.json in the repo root;
-// CI regenerates and gates against it like BENCH_ENGINE.json: speedup
-// ratios may not fall below baseline/3 (same-host ratios, so runner
-// speed cancels), agreement columns must stay "yes".
+// CI regenerates and gates against it through bench/gate.h, like
+// BENCH_ENGINE.json: speedup ratios may not fall below baseline/3
+// (same-host ratios, so runner speed cancels), agreement columns must
+// stay "yes".
 //
-// Flags: --quick | --csv | --json | --json-out FILE | --check FILE | --jobs N
+// Flags: --quick | --csv | --json | --jobs N | --json-out FILE | --check FILE
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <limits>
-#include <map>
 #include <queue>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "graph/generators.h"
 #include "graph/lanczos.h"
 #include "graph/properties.h"
 #include "graph/spectral.h"
 #include "sim/thread_pool.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -304,127 +300,10 @@ double best_seconds(Fn&& fn, double min_total) {
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-// --- output / baseline gate (same shape as bench_engine_micro) ---------------
-
-struct options {
-    bool quick = false;
-    bool csv = false;
-    bool json = false;
-    std::size_t jobs = 0;
-    std::string json_out;
-    std::string check;
-};
-
-struct emitted {
-    std::string title;
-    text_table table;
-};
-
-void emit(std::vector<emitted>& sink, const options& opt, const std::string& title,
-          const text_table& t) {
-    std::cout << "\n== " << title << " ==\n";
-    t.print(std::cout);
-    if (opt.csv) {
-        std::cout << "-- csv --\n";
-        t.print_csv(std::cout);
-    }
-    if (opt.json) {
-        std::cout << "-- json --\n";
-        t.print_json(std::cout, title);
-    }
-    std::cout.flush();
-    sink.push_back(emitted{title, t});
-}
-
-double cell_number(const std::string& s) {
-    std::string clean;
-    for (char c : s) {
-        if (c != ',' && c != 'x') clean.push_back(c);
-    }
-    return std::strtod(clean.c_str(), nullptr);
-}
-
-struct gate_column {
-    std::string title;
-    std::string key;
-    std::string column;
-    bool identity = false;
-};
-
-int run_check(const std::string& path, const std::vector<emitted>& tables,
-              const std::vector<gate_column>& checks) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "check: cannot open baseline '%s'\n", path.c_str());
-        return 1;
-    }
-    std::map<std::string, json_value> baseline;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        json_value v = json_parse(line);
-        std::string title = v.at("title").as_string();
-        baseline.emplace(std::move(title), std::move(v));
-    }
-    std::map<std::string, json_value> current;
-    for (const auto& e : tables) {
-        std::ostringstream os;
-        e.table.print_json(os, e.title);
-        current.emplace(e.title, json_parse(os.str()));
-    }
-    int failures = 0;
-    for (const auto& c : checks) {
-        auto bit = baseline.find(c.title);
-        auto cit = current.find(c.title);
-        if (bit == baseline.end() || cit == current.end()) {
-            std::fprintf(stderr,
-                         "check: table '%s' missing (baseline: %s, current: %s)\n",
-                         c.title.c_str(), bit == baseline.end() ? "no" : "yes",
-                         cit == current.end() ? "no" : "yes");
-            ++failures;
-            continue;
-        }
-        std::map<std::string, const json_value*> base_rows;
-        for (const auto& row : bit->second.at("rows").as_array()) {
-            base_rows.emplace(row.at(c.key).as_string(), &row);
-        }
-        for (const auto& row : cit->second.at("rows").as_array()) {
-            const std::string& key = row.at(c.key).as_string();
-            auto b = base_rows.find(key);
-            if (b == base_rows.end()) continue;  // new workload: not gated yet
-            const std::string& cur_cell = row.at(c.column).as_string();
-            const std::string& base_cell = b->second->at(c.column).as_string();
-            if (c.identity) {
-                if (cur_cell != "yes") {
-                    std::fprintf(stderr, "check: %s / %s / %s = '%s' (must be 'yes')\n",
-                                 c.title.c_str(), key.c_str(), c.column.c_str(),
-                                 cur_cell.c_str());
-                    ++failures;
-                }
-                continue;
-            }
-            const double cur = cell_number(cur_cell);
-            const double base = cell_number(base_cell);
-            if (base > 0 && cur < base / 3.0) {
-                std::fprintf(stderr,
-                             "check: hard regression: %s / %s / %s = %.3g, "
-                             "baseline %.3g (floor %.3g)\n",
-                             c.title.c_str(), key.c_str(), c.column.c_str(), cur, base,
-                             base / 3.0);
-                ++failures;
-            }
-        }
-    }
-    if (failures == 0) {
-        std::printf("check: OK — all gated columns within 3x of '%s'\n", path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
-}
-
 // --- the bench ---------------------------------------------------------------
 
-int run(const options& opt) {
-    std::vector<emitted> tables;
+int run(const bench::gate_options& opt) {
+    bench::gate_run gate(opt);
     thread_pool pool(opt.jobs);
 
     // --- 1. end-to-end profile(): new pipeline vs extrapolated legacy ---
@@ -467,7 +346,7 @@ int run(const options& opt) {
                     fmt_fixed(new_s, 3), fmt_fixed(legacy_s, 1),
                     fmt_ratio(legacy_s / new_s), to_string(p.mixing_method)});
     }
-    emit(tables, opt, "profile pipeline", t1);
+    gate.emit("profile pipeline", t1);
 
     // --- 2. full profiles at scale (n = 1e5; informational, not gated) ---
     struct scale_case {
@@ -494,7 +373,7 @@ int run(const options& opt) {
                     fmt_fixed(s, 2), fmt_fixed(p.lambda2, 6), fmt_count(p.mixing_time),
                     to_string(p.mixing_method), to_string(p.diameter_method)});
     }
-    emit(tables, opt, "profile at scale", t2);
+    gate.emit("profile at scale", t2);
 
     // --- 3. estimator agreement (identity-gated) ---
     text_table t3({"family", "n", "lambda2 agree", "tmix agree"});
@@ -525,7 +404,7 @@ int run(const options& opt) {
         t3.add_row({to_string(f), fmt_count(n), l_ok ? "yes" : "NO",
                     t_ok ? "yes" : "NO"});
     }
-    emit(tables, opt, "estimator agreement", t3);
+    gate.emit("estimator agreement", t3);
     if (!all_agree) {
         std::fprintf(stderr, "estimator disagreement — spectral pipeline bug\n");
         return 2;
@@ -573,71 +452,26 @@ int run(const options& opt) {
         add_kernel_row(w.name, w.g, new_s, legacy_s,
                        same_bits(phi_new, phi_old) && same_bits(iso_new, iso_old));
     }
-    emit(tables, opt, "exact kernels", t4);
+    gate.emit("exact kernels", t4);
     if (!all_same) {
         std::fprintf(stderr, "exact kernel mismatch — properties.cpp bug\n");
         return 2;
     }
 
-    if (!opt.json_out.empty()) {
-        std::ofstream out(opt.json_out);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n", opt.json_out.c_str());
-            return 2;
-        }
-        for (const auto& e : tables) e.table.print_json(out, e.title);
-    }
-
-    if (!opt.check.empty()) {
-        // Gate the speedup ratios (same-host, machine-independent) and
-        // the agreement identities; absolute seconds stay informational.
-        const std::vector<gate_column> checks = {
-            {"profile pipeline", "workload", "speedup", false},
-            {"estimator agreement", "family", "lambda2 agree", true},
-            {"estimator agreement", "family", "tmix agree", true},
-            {"exact kernels", "workload", "speedup", false},
-            {"exact kernels", "workload", "same result", true},
-        };
-        return run_check(opt.check, tables, checks);
-    }
-    return 0;
+    // Gate the speedup ratios (same-host, machine-independent) and the
+    // agreement identities; absolute seconds stay informational.
+    return gate.finish({
+        {"profile pipeline", "workload", "speedup", false},
+        {"estimator agreement", "family", "lambda2 agree", true},
+        {"estimator agreement", "family", "tmix agree", true},
+        {"exact kernels", "workload", "speedup", false},
+        {"exact kernels", "workload", "same result", true},
+    });
 }
 
 }  // namespace
 }  // namespace anole
 
 int main(int argc, char** argv) {
-    anole::options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--quick") {
-            opt.quick = true;
-        } else if (a == "--csv") {
-            opt.csv = true;
-        } else if (a == "--json") {
-            opt.json = true;
-        } else if (a == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(std::strtoul(value("--jobs").c_str(),
-                                                             nullptr, 10));
-        } else if (a == "--json-out") {
-            opt.json_out = value("--json-out");
-        } else if (a == "--check") {
-            opt.check = value("--check");
-        } else if (a == "--help" || a == "-h") {
-            std::printf("flags: --quick | --csv | --json | --jobs N |"
-                        " --json-out FILE | --check FILE\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "error: unknown flag '%s' (try --help)\n", a.c_str());
-            return 2;
-        }
-    }
-    return anole::run(opt);
+    return anole::run(anole::bench::gate_options::parse(argc, argv, true));
 }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,6 +34,33 @@
 
 namespace anole::bench {
 
+// The value after flag argv[i], advancing i; exits 2 when it is missing.
+inline std::string flag_value(int argc, char** argv, int& i, const char* flag) {
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s requires a value\n", flag);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+// The count after flag argv[i], advancing i; exits 2 unless the whole
+// value parses as a number ("abc" and "4x" are both rejected).
+inline std::size_t parse_count(int argc, char** argv, int& i, const char* flag) {
+    const std::string v = flag_value(argc, argv, i, flag);
+    std::size_t pos = 0;
+    unsigned long parsed = 0;
+    try {
+        parsed = std::stoul(v, &pos);
+    } catch (const std::exception&) {
+        pos = 0;
+    }
+    if (pos != v.size()) {
+        std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, v.c_str());
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(parsed);
+}
+
 struct options {
     bool quick = false;
     bool full = false;
@@ -43,26 +71,6 @@ struct options {
     std::size_t node_jobs = 0;  // 0 = serial engine rounds
 
     static options parse(int argc, char** argv) {
-        const auto parse_count = [&](int& i, const char* flag) -> std::size_t {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n", flag);
-                std::exit(2);
-            }
-            const std::string v = argv[++i];
-            std::size_t pos = 0;
-            unsigned long parsed = 0;
-            try {
-                parsed = std::stoul(v, &pos);
-            } catch (const std::exception&) {
-                pos = 0;
-            }
-            if (pos != v.size()) {
-                std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                             flag, v.c_str());
-                std::exit(2);
-            }
-            return static_cast<std::size_t>(parsed);
-        };
         options o;
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
@@ -75,11 +83,11 @@ struct options {
             } else if (a == "--json") {
                 o.json = true;
             } else if (a == "--seeds") {
-                o.seeds = parse_count(i, "--seeds");
+                o.seeds = parse_count(argc, argv, i, "--seeds");
             } else if (a == "--jobs") {
-                o.jobs = parse_count(i, "--jobs");
+                o.jobs = parse_count(argc, argv, i, "--jobs");
             } else if (a == "--node-jobs") {
-                o.node_jobs = parse_count(i, "--node-jobs");
+                o.node_jobs = parse_count(argc, argv, i, "--node-jobs");
             } else if (a == "--help" || a == "-h") {
                 std::printf("flags: --quick | --full | --csv | --json |"
                             " --seeds N | --jobs N | --node-jobs N\n");

@@ -337,12 +337,11 @@ std::string graph_profile::to_json() const {
         buf, sizeof(buf),
         "{\"n\":%zu,\"m\":%zu,\"diameter\":%u,\"conductance\":%.17g,"
         "\"isoperimetric\":%.17g,\"mixing_time\":%llu,\"lambda2\":%.17g,"
-        "\"exact_cuts\":%s,\"diameter_method\":\"%s\",\"conductance_method\":\"%s\","
+        "\"diameter_method\":\"%s\",\"conductance_method\":\"%s\","
         "\"isoperimetric_method\":\"%s\",\"mixing_method\":\"%s\","
         "\"lambda2_converged\":%s}",
         n, m, diameter, conductance, isoperimetric,
-        static_cast<unsigned long long>(mixing_time), lambda2,
-        exact_cuts ? "true" : "false", to_string(diameter_method),
+        static_cast<unsigned long long>(mixing_time), lambda2, to_string(diameter_method),
         to_string(conductance_method), to_string(isoperimetric_method),
         to_string(mixing_method), lambda2_converged ? "true" : "false");
     return std::string(buf);
@@ -401,8 +400,6 @@ graph_profile profile(const graph& g, const profile_options& opt) {
         p.isoperimetric = isoperimetric_sweep(g, eig.fiedler);
         p.isoperimetric_method = profile_method::sweep;
     }
-    p.exact_cuts = p.conductance_method == profile_method::fact ||
-                   p.conductance_method == profile_method::exact;
 
     if (f.mixing_time) {
         p.mixing_time = *f.mixing_time;

@@ -149,7 +149,6 @@ struct graph_profile {
     double isoperimetric = 0;        // likewise
     std::uint64_t mixing_time = 0;   // per §2; see mixing_method for how
     double lambda2 = 0;
-    bool exact_cuts = false;         // compat: conductance is fact/exact
 
     // Provenance (new): how each field above was obtained.
     profile_method diameter_method = profile_method::exact;

@@ -24,7 +24,6 @@ graph_profile profile_from_json(const json_value& v) {
     p.isoperimetric = v.at("isoperimetric").as_number();
     p.mixing_time = v.at("mixing_time").as_uint();
     p.lambda2 = v.at("lambda2").as_number();
-    p.exact_cuts = v.at("exact_cuts").as_bool();
     p.diameter_method = profile_method_from_string(v.at("diameter_method").as_string());
     p.conductance_method =
         profile_method_from_string(v.at("conductance_method").as_string());

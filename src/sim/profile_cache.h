@@ -5,7 +5,7 @@
 // (family, n, generator seed, profiler version), so they are perfectly
 // cacheable across processes. This is a JSONL file: one object per line,
 //
-//   {"key":"dumbbell/4096/s7/v1","version":1,"profile":{...}}
+//   {"key":"dumbbell/4096/s7/v2","version":2,"profile":{...}}
 //
 // where the profile payload is graph_profile::to_json() (doubles printed
 // %.17g, parsed back via std::from_chars — cache hits are bitwise
@@ -32,7 +32,7 @@ namespace anole {
 
 // Participates in every cache key; bump whenever profile() semantics
 // change (new method policy, changed estimator) to invalidate old files.
-inline constexpr int profile_cache_version = 1;
+inline constexpr int profile_cache_version = 2;
 
 class profile_cache {
 public:

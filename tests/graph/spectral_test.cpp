@@ -129,7 +129,6 @@ TEST(Profile, HonorsGeneratorFacts) {
     EXPECT_EQ(p.diameter, 16u);
     EXPECT_NEAR(p.conductance, 2.0 / 32.0, 1e-12);
     EXPECT_EQ(p.mixing_time, 32u * 32u);
-    EXPECT_TRUE(p.exact_cuts);
 }
 
 TEST(Profile, ComputesWhenNoFacts) {
@@ -189,13 +188,12 @@ TEST(MixingTime, SimulatedDeterministicAcrossPools) {
     }
 }
 
-TEST(Profile, ProvenanceReportsFactsAndKeepsCompatFlag) {
+TEST(Profile, ProvenanceReportsFacts) {
     const auto p = profile(make_cycle(32), 1);  // generator ships all facts
     EXPECT_EQ(p.diameter_method, profile_method::fact);
     EXPECT_EQ(p.conductance_method, profile_method::fact);
     EXPECT_EQ(p.isoperimetric_method, profile_method::fact);
     EXPECT_EQ(p.mixing_method, profile_method::fact);
-    EXPECT_TRUE(p.exact_cuts);  // old consumers: fact counts as exact
 }
 
 TEST(Profile, ProvenanceReportsExactOnSmallBareGraph) {
@@ -204,7 +202,6 @@ TEST(Profile, ProvenanceReportsExactOnSmallBareGraph) {
     EXPECT_EQ(p.diameter_method, profile_method::exact);
     EXPECT_EQ(p.conductance_method, profile_method::exact);   // n <= 20
     EXPECT_EQ(p.mixing_method, profile_method::exact);        // exhaustive starts
-    EXPECT_TRUE(p.exact_cuts);
     EXPECT_TRUE(p.lambda2_converged);
 }
 
@@ -213,7 +210,6 @@ TEST(Profile, ProvenanceReportsBoundsOnLargerBareGraph) {
     graph stripped(g.num_nodes(), g.edge_list());
     const auto p = profile(stripped, 1);
     EXPECT_EQ(p.conductance_method, profile_method::sweep);  // n > 20
-    EXPECT_FALSE(p.exact_cuts);
     // n > 128: whatever tmix method the cost model picked, it is not the
     // exhaustive-exact one, and the value must respect the spectral bound.
     EXPECT_NE(p.mixing_method, profile_method::exact);
@@ -236,7 +232,6 @@ TEST(Profile, ToJsonCarriesProvenance) {
     EXPECT_NE(j.find("\"mixing_method\":\"fact\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"diameter_method\":\"fact\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"lambda2_converged\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"exact_cuts\":true"), std::string::npos) << j;
 }
 
 TEST(Profile, BitwiseIdenticalAcrossPools) {
@@ -274,37 +269,37 @@ TEST(Profile, JsonPinnedAcrossKernelRewrite) {
         {graph_family::erdos_renyi, 16,
          R"({"n":16,"m":66,"diameter":2,"conductance":0.39393939393939392,)"
          R"("isoperimetric":3.25,"mixing_time":6,"lambda2":0.6695320883342406,)"
-         R"("exact_cuts":true,"diameter_method":"exact","conductance_method":"exact",)"
+         R"("diameter_method":"exact","conductance_method":"exact",)"
          R"("isoperimetric_method":"exact","mixing_method":"exact",)"
          R"("lambda2_converged":true})"},
         {graph_family::grid2d, 16,
          R"({"n":16,"m":24,"diameter":6,"conductance":0.16666666666666666,)"
          R"("isoperimetric":0.5,"mixing_time":15,"lambda2":0.89086797998528588,)"
-         R"("exact_cuts":true,"diameter_method":"fact","conductance_method":"exact",)"
+         R"("diameter_method":"fact","conductance_method":"exact",)"
          R"("isoperimetric_method":"exact","mixing_method":"exact",)"
          R"("lambda2_converged":true})"},
         {graph_family::barabasi_albert, 16,
          R"({"n":16,"m":29,"diameter":3,"conductance":0.2857142857142857,)"
          R"("isoperimetric":1,"mixing_time":14,"lambda2":0.83351732369417952,)"
-         R"("exact_cuts":true,"diameter_method":"exact","conductance_method":"exact",)"
+         R"("diameter_method":"exact","conductance_method":"exact",)"
          R"("isoperimetric_method":"exact","mixing_method":"exact",)"
          R"("lambda2_converged":true})"},
         {graph_family::random_geometric, 1024,
          R"({"n":1024,"m":7608,"diameter":24,"conductance":0.026769230769230771,)"
          R"("isoperimetric":0.4009216589861751,"mixing_time":5982,)"
-         R"("lambda2":0.99740143707822471,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("lambda2":0.99740143707822471,"diameter_method":"exact",)"
          R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
          R"("mixing_method":"spectral","lambda2_converged":true})"},
         {graph_family::connected_caveman, 1024,
          R"({"n":1024,"m":15872,"diameter":48,"conductance":0.00012600806451612903,)"
          R"("isoperimetric":0.00390625,"mixing_time":801525,)"
-         R"("lambda2":0.99998183964985432,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("lambda2":0.99998183964985432,"diameter_method":"exact",)"
          R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
          R"("mixing_method":"spectral","lambda2_converged":true})"},
         {graph_family::watts_strogatz, 1024,
          R"({"n":1024,"m":2048,"diameter":15,"conductance":0.090909090909090912,)"
          R"("isoperimetric":0.36363636363636365,"mixing_time":366,)"
-         R"("lambda2":0.98666544452043592,"exact_cuts":false,"diameter_method":"exact",)"
+         R"("lambda2":0.98666544452043592,"diameter_method":"exact",)"
          R"("conductance_method":"sweep","isoperimetric_method":"sweep",)"
          R"("mixing_method":"simulated","lambda2_converged":true})"},
     };
