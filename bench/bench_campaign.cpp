@@ -73,33 +73,6 @@ std::vector<std::string> split_csv(const std::string& s) {
     return out;
 }
 
-std::string need_value(int argc, char** argv, int& i) {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", argv[i]);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-std::uint64_t parse_u64(const std::string& v, const char* flag) {
-    // stoull would accept "-1" by wraparound; require plain digits.
-    std::size_t pos = 0;
-    unsigned long long parsed = 0;
-    const bool digits = !v.empty() && v.find_first_not_of("0123456789") ==
-                                          std::string::npos;
-    try {
-        if (digits) parsed = std::stoull(v, &pos);
-    } catch (const std::exception&) {
-        pos = 0;
-    }
-    if (!digits || pos != v.size()) {
-        std::fprintf(stderr, "error: %s expects a non-negative number, got '%s'\n",
-                     flag, v.c_str());
-        std::exit(2);
-    }
-    return parsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,8 +91,9 @@ int main(int argc, char** argv) {
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        const auto value = [&] { return flag_value(argc, argv, i, a.c_str()); };
         if (a == "--spec") {
-            const std::string path = need_value(argc, argv, i);
+            const std::string path = value();
             std::ifstream in(path);
             if (!in) {
                 std::fprintf(stderr, "error: cannot read spec '%s'\n", path.c_str());
@@ -145,7 +119,7 @@ int main(int argc, char** argv) {
             }
         } else if (a == "--families") {
             spec.families.clear();
-            for (const std::string& name : split_csv(need_value(argc, argv, i))) {
+            for (const std::string& name : split_csv(value())) {
                 const auto f = family_from_string(name);
                 if (!f) {
                     std::fprintf(stderr, "error: unknown family '%s'\n", name.c_str());
@@ -155,12 +129,12 @@ int main(int argc, char** argv) {
             }
         } else if (a == "--sizes") {
             spec.sizes.clear();
-            for (const std::string& v : split_csv(need_value(argc, argv, i))) {
+            for (const std::string& v : split_csv(value())) {
                 spec.sizes.push_back(static_cast<std::size_t>(parse_u64(v, "--sizes")));
             }
         } else if (a == "--variants") {
             spec.variants.clear();
-            for (const std::string& name : split_csv(need_value(argc, argv, i))) {
+            for (const std::string& name : split_csv(value())) {
                 const auto k = variant_from_string(name);
                 if (!k) {
                     std::fprintf(stderr, "error: unknown variant '%s'\n",
@@ -171,7 +145,7 @@ int main(int argc, char** argv) {
             }
         } else if (a == "--dynamics") {
             spec.dynamics.clear();
-            for (const std::string& name : split_csv(need_value(argc, argv, i))) {
+            for (const std::string& name : split_csv(value())) {
                 if (name == "all") {
                     spec.dynamics = all_dynamics_presets();
                     break;
@@ -185,33 +159,31 @@ int main(int argc, char** argv) {
                 spec.dynamics.emplace_back(name, *d);
             }
         } else if (a == "--seeds") {
-            spec.seeds =
-                static_cast<std::size_t>(parse_u64(need_value(argc, argv, i), "--seeds"));
+            spec.seeds = parse_count(argc, argv, i, "--seeds");
             seeds_set = true;
         } else if (a == "--out") {
-            out_flag = need_value(argc, argv, i);
+            out_flag = value();
         } else if (a == "--no-out") {
             no_out = true;
         } else if (a == "--profile-cache") {
-            profile_cache_path = need_value(argc, argv, i);
+            profile_cache_path = value();
         } else if (a == "--base-seed") {
-            spec.base_seed = parse_u64(need_value(argc, argv, i), "--base-seed");
+            spec.base_seed = parse_u64(value(), "--base-seed");
             base_seed_set = true;
         } else if (a == "--topology-seed") {
-            spec.topology_seed =
-                parse_u64(need_value(argc, argv, i), "--topology-seed");
+            spec.topology_seed = parse_u64(value(), "--topology-seed");
             topology_seed_set = true;
         } else if (a == "--worker") {
             worker_mode = true;
-            worker_id = need_value(argc, argv, i);
+            worker_id = value();
         } else if (a == "--lease-ttl") {
-            lease_ttl = parse_u64(need_value(argc, argv, i), "--lease-ttl");
+            lease_ttl = parse_u64(value(), "--lease-ttl");
         } else if (a == "--merge") {
             merge_mode = true;
         } else if (a == "--report") {
-            report_path = need_value(argc, argv, i);
+            report_path = value();
         } else if (a == "--jobs") {
-            jobs = static_cast<std::size_t>(parse_u64(need_value(argc, argv, i), "--jobs"));
+            jobs = parse_count(argc, argv, i, "--jobs");
         } else if (a == "--csv") {
             emit_csv = true;
         } else if (a == "--json") {

@@ -19,6 +19,7 @@
 // numbers. EXPERIMENTS.md records the default-mode outputs.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,22 +44,23 @@ inline std::string flag_value(int argc, char** argv, int& i, const char* flag) {
     return argv[++i];
 }
 
-// The count after flag argv[i], advancing i; exits 2 unless the whole
-// value parses as a number ("abc" and "4x" are both rejected).
-inline std::size_t parse_count(int argc, char** argv, int& i, const char* flag) {
-    const std::string v = flag_value(argc, argv, i, flag);
-    std::size_t pos = 0;
-    unsigned long parsed = 0;
-    try {
-        parsed = std::stoul(v, &pos);
-    } catch (const std::exception&) {
-        pos = 0;
-    }
-    if (pos != v.size()) {
-        std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, v.c_str());
+// The value of `flag` as a number: plain decimal digits that fit, or
+// exit 2 (" 4", "-1" and "4x" are all rejected).
+inline std::uint64_t parse_u64(const std::string& v, const char* flag) {
+    std::uint64_t parsed = 0;
+    const char* end = v.data() + v.size();
+    const auto [stop, ec] = std::from_chars(v.data(), end, parsed);
+    if (ec != std::errc{} || stop != end) {
+        std::fprintf(stderr, "error: %s expects a number of plain digits, got '%s'\n",
+                     flag, v.c_str());
         std::exit(2);
     }
-    return static_cast<std::size_t>(parsed);
+    return parsed;
+}
+
+// The count after flag argv[i], advancing i; exits 2 as parse_u64 does.
+inline std::size_t parse_count(int argc, char** argv, int& i, const char* flag) {
+    return static_cast<std::size_t>(parse_u64(flag_value(argc, argv, i, flag), flag));
 }
 
 struct options {

@@ -3,8 +3,8 @@
 //
 // A gated binary prints each table through gate_run::emit (the same
 // text / --csv / --json output as every other bench) and ends with
-// gate_run::finish(checks), which writes --json-out FILE and, with
-// --check FILE, compares the run against a committed baseline
+// gate_run::finish(checks), which replaces --json-out FILE atomically and,
+// with --check FILE, compares the run against a committed baseline
 // (BENCH_ENGINE.json, BENCH_PROFILE.json; docs/BENCHMARKS.md):
 //   * ratio columns may not fall below baseline/3 — both sides of each
 //     ratio run on the same host, so runner speed cancels;
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "util/atomic_file.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -188,12 +189,14 @@ public:
     // Writes --json-out, then gates against --check. Returns the exit code.
     [[nodiscard]] int finish(const std::vector<gate_column>& checks) const {
         if (!opt_.json_out.empty()) {
-            std::ofstream out(opt_.json_out);
-            if (!out) {
+            std::ostringstream json;
+            for (const auto& e : tables_) e.table.print_json(json, e.title);
+            try {
+                replace_file(opt_.json_out, json.str());
+            } catch (const error&) {
                 std::fprintf(stderr, "cannot write '%s'\n", opt_.json_out.c_str());
                 return 2;
             }
-            for (const auto& e : tables_) e.table.print_json(out, e.title);
         }
         return opt_.check.empty() ? 0 : run_check(opt_.check, tables_, checks);
     }

@@ -96,13 +96,11 @@ public:
     [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
     [[nodiscard]] bool is_leader() const noexcept { return leader_; }
-    [[nodiscard]] std::uint64_t id_max() const noexcept { return id_max_; }
     [[nodiscard]] const std::map<std::uint64_t, cb_exec>& executions() const noexcept {
         return execs_;
     }
     // Executions beyond the super-round slot capacity (whp zero; §4).
     [[nodiscard]] std::size_t slot_overflows() const noexcept { return overflows_; }
-    [[nodiscard]] std::uint64_t walk_tokens() const noexcept { return walk_count_; }
     [[nodiscard]] node_status status() const noexcept {
         node_status st;
         st.decided = decided_;

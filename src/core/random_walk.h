@@ -55,7 +55,6 @@ public:
         for (const auto& [port, msg] : inbox) {
             (void)port;
             resident_ += msg.count;
-            visits_ += msg.count;
         }
         if (ctx.round() >= rounds_) {
             ctx.halt();
@@ -82,14 +81,11 @@ public:
 
     // Tokens currently parked at this node.
     [[nodiscard]] std::uint64_t resident() const noexcept { return resident_; }
-    // Total token arrivals over the run (excluding the initial placement).
-    [[nodiscard]] std::uint64_t visits() const noexcept { return visits_; }
 
 private:
     std::size_t degree_;
     std::uint64_t resident_;
     std::uint64_t rounds_;
-    std::uint64_t visits_ = 0;
     std::vector<std::uint64_t> out_;
 };
 

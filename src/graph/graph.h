@@ -82,7 +82,6 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] const graph_facts& facts() const noexcept { return facts_; }
     void set_facts(graph_facts f) noexcept { facts_ = std::move(f); }
-    void set_name(std::string n) noexcept { name_ = std::move(n); }
 
     // Edge list (u < v), for analyzers.
     [[nodiscard]] std::vector<std::pair<node_id, node_id>> edge_list() const;

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/atomic_file.h"
 #include "util/json.h"
 #include "util/stats.h"
 
@@ -417,31 +418,11 @@ campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner)
     const std::vector<campaign_unit> units = expand(spec);
     const std::map<std::string, campaign_record> done = load_completed(spec.output);
 
+    // Legacy headerless ledgers stay headerless, so older builds can
+    // still append to them.
     std::ofstream out;
     if (!spec.output.empty()) {
-        // A SIGKILL mid-write can leave the file ending in a torn line
-        // with no newline; appending straight after it would glue the
-        // next record into one unparseable line. Start a fresh line
-        // first (blank lines are skipped on load).
-        bool needs_newline = false;
-        bool is_empty = true;
-        {
-            std::ifstream probe(spec.output, std::ios::binary | std::ios::ate);
-            if (probe && probe.tellg() > 0) {
-                is_empty = false;
-                probe.seekg(-1, std::ios::end);
-                char last = '\n';
-                probe.get(last);
-                needs_newline = last != '\n';
-            }
-        }
-        out.open(spec.output, std::ios::app);
-        require(out.good(), "campaign: cannot open output '" + spec.output + "'");
-        if (needs_newline) out << "\n";
-        // Fresh ledgers start with the schema header; resumed ones keep
-        // whatever they have (legacy headerless files stay headerless so
-        // they remain byte-appendable by older builds too).
-        if (is_empty) out << campaign_schema_header_line() << "\n";
+        out = append_jsonl(spec.output, campaign_schema_header_line());
     }
 
     campaign_report report;
@@ -450,9 +431,7 @@ campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner)
     // One batch per topology group: all variants and seeds of a
     // (family, size) share the generated graph and its profile through
     // the runner caches, and the file is flushed between groups.
-    const std::size_t group = spec.variants.size() *
-                              std::max<std::size_t>(spec.dynamics.size(), 1) *
-                              spec.seeds;
+    const std::size_t group = campaign_group_size(spec);
     for (std::size_t base = 0; base < units.size(); base += group) {
         std::vector<campaign_unit> pending;
         for (std::size_t i = base; i < base + group; ++i) {
@@ -471,7 +450,10 @@ campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner)
             std::string k = rec.unit.key();
             fresh.emplace(std::move(k), std::move(rec));
         }
-        if (out.is_open()) out.flush();
+        if (out.is_open()) {
+            out.flush();
+            require(out.good(), "campaign: write failed for " + spec.output);
+        }
     }
 
     // Assemble every record — resumed + fresh — in expansion order.

@@ -26,6 +26,7 @@
 // docs/CAMPAIGNS.md documents the spec schema and resume semantics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -129,6 +130,13 @@ struct campaign_unit {
 // Full cartesian expansion in deterministic order: (family, size) outer
 // (topology groups), (variant, seed) inner.
 [[nodiscard]] std::vector<campaign_unit> expand(const campaign_spec& spec);
+
+// Units per topology group: variants × max(dynamics, 1) × seeds. Groups
+// are consecutive runs of this many units in expand()'s order.
+[[nodiscard]] inline std::size_t campaign_group_size(const campaign_spec& spec) {
+    return spec.variants.size() * std::max<std::size_t>(spec.dynamics.size(), 1) *
+           spec.seeds;
+}
 
 // --- results ----------------------------------------------------------------
 

@@ -299,9 +299,6 @@ public:
         return !replaying() && spec_.strategy != adaptive_kind::none;
     }
     [[nodiscard]] bool replaying() const noexcept { return replay_ != nullptr; }
-    [[nodiscard]] bool membership_enabled() const noexcept {
-        return spec_.leave_prob > 0 || spec_.join_prob > 0 || replaying();
-    }
 
     // (1) Port re-wiring: updates `peer_slot` in place for the nodes the
     // adversary relabels in `round` (skipping halted and absent nodes)

@@ -629,10 +629,6 @@ public:
     [[nodiscard]] bool node_crashed(std::size_t u) const noexcept {
         return crashed_[u] != 0;
     }
-    [[nodiscard]] bool node_halted(std::size_t u) const noexcept {
-        return halted_[u] != 0;
-    }
-    [[nodiscard]] std::uint64_t budget_bits() const noexcept { return budget_bits_; }
 
     void set_phase(const std::string& name) { metrics_.begin_phase(name); }
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 
+#include "util/atomic_file.h"
 #include "util/json.h"
 
 namespace anole {
@@ -87,68 +88,32 @@ std::optional<lease_info> read_lease(const std::string& path) {
     }
 }
 
-namespace {
-
-// Atomic whole-file replace; the temp name carries the writer's id so
-// racing claimants never clobber each other's staging file.
-void write_lease_atomic(const std::string& path, const lease_info& l) {
-    const std::string tmp = path + ".tmp-" + sanitize_worker_id(l.owner);
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        require(static_cast<bool>(out), "fleet: cannot open " + tmp);
-        out << l.to_json() << "\n";
-        out.flush();
-        require(static_cast<bool>(out), "fleet: write failed for " + tmp);
-    }
-    require(std::rename(tmp.c_str(), path.c_str()) == 0,
-            "fleet: cannot replace lease " + path);
-}
-
-}  // namespace
-
 bool try_acquire_lease(const std::string& path, const lease_info& mine,
                        bool* reclaimed) {
     if (reclaimed != nullptr) *reclaimed = false;
-    // Fresh claim: stage the full lease body in a private file, then
-    // link() it to the lease path — atomic create-exclusive WITH
-    // complete content, so a racing loser can never observe the
-    // winner's lease half-written (and mistake it for a torn one).
-    const std::string stage = path + ".claim-" + sanitize_worker_id(mine.owner);
-    {
-        std::ofstream out(stage, std::ios::trunc);
-        require(static_cast<bool>(out), "fleet: cannot open " + stage);
-        out << mine.to_json() << "\n";
-        out.flush();
-        require(static_cast<bool>(out), "fleet: write failed for " + stage);
-    }
-    if (::link(stage.c_str(), path.c_str()) == 0) {
-        std::remove(stage.c_str());
-        return true;
-    }
-    std::remove(stage.c_str());
-    require(errno == EEXIST, "fleet: cannot create lease " + path);
+    // Fresh claim: create-exclusive WITH complete content, so a racing
+    // loser can never observe the winner's lease half-written (and
+    // mistake it for a torn one).
+    const std::string body = mine.to_json() + "\n";
+    if (create_file(path, body)) return true;
 
     const std::optional<lease_info> cur = read_lease(path);
     if (cur.has_value() && cur->owner == mine.owner) {
-        write_lease_atomic(path, mine);  // refresh our own heartbeat
+        replace_file(path, body);  // refresh our own heartbeat
         return true;
     }
     if (cur.has_value() && !cur->expired(mine.heartbeat)) return false;
 
-    // Expired or torn: take over by atomic rename, then confirm by
+    // Expired or torn: take over by atomic replace, then confirm by
     // reading back — if several claimants raced, exactly one set of
     // bytes landed last and only that claimant proceeds.
-    write_lease_atomic(path, mine);
+    replace_file(path, body);
     const std::optional<lease_info> after = read_lease(path);
     if (after.has_value() && after->owner == mine.owner) {
         if (reclaimed != nullptr) *reclaimed = true;
         return true;
     }
     return false;
-}
-
-void renew_lease(const std::string& path, const lease_info& mine) {
-    write_lease_atomic(path, mine);
 }
 
 void release_lease(const std::string& path, const std::string& owner) {
@@ -235,9 +200,7 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
     (void)scan.refresh();
 
     const std::vector<campaign_unit> units = expand(spec);
-    const std::size_t group = spec.variants.size() *
-                              std::max<std::size_t>(spec.dynamics.size(), 1) *
-                              spec.seeds;
+    const std::size_t group = campaign_group_size(spec);
     const std::size_t groups = (units.size() + group - 1) / group;
 
     const fleet_paths paths{spec.output};
@@ -247,25 +210,9 @@ fleet_report run_fleet_worker(const campaign_spec& spec, scenario_runner& runner
     report.worker_id = sanitize_worker_id(opt.worker_id);
     report.shard = paths.shard(report.worker_id);
 
-    // Open (or resume) this worker's shard. Same torn-tail discipline as
-    // run_campaign: a killed predecessor with our id may have left a
-    // partial line.
-    bool needs_newline = false;
-    bool shard_empty = true;
-    {
-        std::ifstream probe(report.shard, std::ios::binary | std::ios::ate);
-        if (probe && probe.tellg() > 0) {
-            shard_empty = false;
-            probe.seekg(-1, std::ios::end);
-            char last = '\n';
-            probe.get(last);
-            needs_newline = last != '\n';
-        }
-    }
-    std::ofstream shard(report.shard, std::ios::app);
-    require(shard.good(), "fleet: cannot open shard " + report.shard);
-    if (needs_newline) shard << "\n";
-    if (shard_empty) shard << campaign_schema_header_line() << "\n";
+    // Open (or resume) this worker's shard. A killed predecessor with our
+    // id may have left a partial line; append_jsonl ends it.
+    std::ofstream shard = append_jsonl(report.shard, campaign_schema_header_line());
     shard.flush();
 
     // Multi-pass: claim whatever is free, re-scan, repeat. A pass that
@@ -400,22 +347,14 @@ merge_report merge_fleet(const campaign_spec& spec) {
     report.records = covered.size() + foreign.size();
 
     // Canonical rewrite: header, covered lines in expansion order,
-    // foreign lines sorted by key (std::map iteration), atomic rename.
-    const std::string tmp = spec.output + ".merge-tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        require(static_cast<bool>(out), "fleet merge: cannot open " + tmp);
-        out << campaign_schema_header_line() << "\n";
-        for (const campaign_unit& u : units) {
-            auto it = covered.find(u.key());
-            if (it != covered.end()) out << it->second << "\n";
-        }
-        for (const auto& [key, line] : foreign) out << line << "\n";
-        out.flush();
-        require(static_cast<bool>(out), "fleet merge: write failed for " + tmp);
+    // foreign lines sorted by key (std::map iteration), atomic replace.
+    std::string bytes = campaign_schema_header_line() + "\n";
+    for (const campaign_unit& u : units) {
+        auto it = covered.find(u.key());
+        if (it != covered.end()) bytes.append(it->second) += '\n';
     }
-    require(std::rename(tmp.c_str(), spec.output.c_str()) == 0,
-            "fleet merge: cannot replace " + spec.output);
+    for (const auto& [key, line] : foreign) bytes.append(line) += '\n';
+    replace_file(spec.output, bytes);
     return report;
 }
 

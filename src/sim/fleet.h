@@ -99,9 +99,6 @@ struct lease_info {
 [[nodiscard]] bool try_acquire_lease(const std::string& path, const lease_info& mine,
                                      bool* reclaimed = nullptr);
 
-// Refreshes the heartbeat of a lease we own (temp + atomic rename).
-void renew_lease(const std::string& path, const lease_info& mine);
-
 // Deletes the lease iff it is still owned by `owner`.
 void release_lease(const std::string& path, const std::string& owner);
 

@@ -42,7 +42,6 @@ struct phase_counters {
 class sim_metrics {
 public:
     void begin_phase(const std::string& name) { current_ = name; }
-    [[nodiscard]] const std::string& current_phase() const noexcept { return current_; }
 
     void count_round(std::uint64_t congest_cost) noexcept {
         auto& c = phases_[current_];

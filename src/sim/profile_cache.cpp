@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 
+#include "util/atomic_file.h"
 #include "util/json.h"
 
 namespace anole {
@@ -131,17 +132,9 @@ void profile_cache::store(const std::string& key, const graph_profile& p) {
     std::map<std::string, graph_profile> merged = load_entries(path_);
     for (const auto& [k, prof] : entries_) merged.insert_or_assign(k, prof);
 
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        require(static_cast<bool>(out), "profile_cache: cannot open " + tmp);
-        for (const auto& [k, prof] : merged) out << entry_line(k, prof) << "\n";
-        out.flush();
-        require(static_cast<bool>(out), "profile_cache: write failed for " + tmp);
-    }
-    // Atomic on POSIX: readers see the old complete file or the new one.
-    require(std::rename(tmp.c_str(), path_.c_str()) == 0,
-            "profile_cache: cannot replace " + path_);
+    std::string bytes;
+    for (const auto& [k, prof] : merged) bytes.append(entry_line(k, prof)) += '\n';
+    replace_file(path_, bytes);  // readers see the old whole file or the new
     entries_ = std::move(merged);
 }
 

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <set>
 
 #include "graph/generators.h"
 #include "graph/layout.h"
 #include "sim/thread_pool.h"
+#include "util/atomic_file.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -553,12 +553,7 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
 void write_campaign_report(const std::string& path,
                            const std::vector<campaign_record>& records,
                            const report_options& opt) {
-    const std::string html = render_campaign_report(records, opt);
-    std::ofstream out(path, std::ios::trunc);
-    require(static_cast<bool>(out), "report: cannot open " + path);
-    out << html;
-    out.flush();
-    require(static_cast<bool>(out), "report: write failed for " + path);
+    replace_file(path, render_campaign_report(records, opt));
 }
 
 }  // namespace anole

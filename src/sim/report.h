@@ -52,7 +52,7 @@ struct report_options {
 [[nodiscard]] std::string render_campaign_report(
     const std::vector<campaign_record>& records, const report_options& opt = {});
 
-// Renders and writes to `path` (throws anole::error on I/O failure).
+// Renders and atomically replaces `path` (throws anole::error on I/O failure).
 void write_campaign_report(const std::string& path,
                            const std::vector<campaign_record>& records,
                            const report_options& opt = {});

@@ -34,21 +34,14 @@ namespace anole {
 
 class scenario_runner {
 public:
-    // jobs = 0 selects hardware concurrency; node_jobs is the default
-    // engine-round sharding (see set_default_node_jobs).
+    // jobs = 0 selects hardware concurrency. node_jobs shards the rounds of
+    // scenarios that leave scenario::node_jobs at 0 (`--node-jobs` in the
+    // benches) over this runner's pool — safe to nest inside repetition
+    // jobs, see thread_pool::parallel_for; 1 means serial rounds.
     explicit scenario_runner(std::size_t jobs = 0, std::size_t node_jobs = 1)
         : pool_(jobs), default_node_jobs_(node_jobs == 0 ? 1 : node_jobs) {}
 
     [[nodiscard]] std::size_t jobs() const noexcept { return pool_.size(); }
-
-    // Default engine-level round sharding applied to scenarios that leave
-    // scenario::node_jobs at 0 (`--node-jobs` in the benches). Engines
-    // shard over this runner's pool — safe to nest inside repetition
-    // jobs, see thread_pool::parallel_for. <= 1 means serial rounds.
-    void set_default_node_jobs(std::size_t k) noexcept { default_node_jobs_ = k; }
-    [[nodiscard]] std::size_t default_node_jobs() const noexcept {
-        return default_node_jobs_;
-    }
 
     // Runs one scenario, repetitions in parallel.
     scenario_result run(const scenario& s);

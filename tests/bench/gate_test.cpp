@@ -103,6 +103,10 @@ TEST(Gate, FlagsRejectQuickCheckAndMalformedJobs) {
                 ::testing::ExitedWithCode(2), "expects a number");
     EXPECT_EXIT(parse_exit({"bench", "--jobs", "4x"}, true),
                 ::testing::ExitedWithCode(2), "expects a number");
+    EXPECT_EXIT(parse_exit({"bench", "--jobs", "-1"}, true),
+                ::testing::ExitedWithCode(2), "expects a number");
+    EXPECT_EXIT(parse_exit({"bench", "--jobs", " 4"}, true),
+                ::testing::ExitedWithCode(2), "expects a number");
     EXPECT_EXIT(parse_exit({"bench", "--jobs", "4"}, false),
                 ::testing::ExitedWithCode(2), "unknown flag");
     EXPECT_EXIT(parse_exit({"bench", "--check"}, false), ::testing::ExitedWithCode(2),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -145,9 +146,16 @@ TEST(ProfileCache, StoreRewritesAtomicallyAndHealsCorruptTail) {
         ++parsed;
     }
     EXPECT_EQ(parsed, 2u);
-    // And no lock or temp file is left behind.
+    // And no lock or temp file is left behind: no `<path>.tmp*` sibling,
+    // whatever name the writer gave its temp.
     EXPECT_FALSE(std::ifstream(path + ".lock").good());
-    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    const std::filesystem::path target(path);
+    const std::string temp_prefix = target.filename().string() + ".tmp";
+    for (const auto& entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+        EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+            << "leftover temp " << entry.path();
+    }
 
     profile_cache reloaded(path);
     EXPECT_EQ(reloaded.size(), 2u);
