@@ -11,7 +11,10 @@
 //      per-token coin-flip loop (run on the same flat engine, so the
 //      sampling change is isolated);
 //   3. parallel identity — sharded rounds must be bitwise-identical to
-//      serial on every topology family in the zoo.
+//      serial on every topology family in the zoo;
+//   4. quiet-round fast-forward — the revocable protocol with the engine
+//      skipping quiet rounds vs the same engine stepping every round (its
+//      hooks hidden by always_step), which must end bitwise-identical.
 //
 // Output follows the BENCH_*.json trajectory schema (docs/BENCHMARKS.md);
 // the committed baseline lives at BENCH_ENGINE.json in the repo root and
@@ -31,11 +34,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bench/gate.h"
 #include "core/random_walk.h"
+#include "core/revocable.h"
 #include "graph/generators.h"
 #include "sim/engine.h"
 #include "util/table.h"
@@ -293,6 +298,39 @@ bool parallel_identical(graph_family f, std::size_t n, std::uint64_t seed) {
            a.totals.bits == b.totals.bits;
 }
 
+// Engine-side result of a revocable run: everything the fast-forward must
+// reproduce bit for bit.
+struct revocable_state {
+    std::uint64_t round = 0;
+    phase_counters totals;
+    std::vector<std::uint64_t> nodes;  // per node: estimate, id, view, revocations
+
+    bool operator==(const revocable_state&) const = default;
+};
+
+template <class Node>
+revocable_state run_revocable_rounds(const graph& g, const revocable_params& p,
+                                     std::uint64_t seed, std::uint64_t rounds,
+                                     double* seconds) {
+    const auto t0 = std::chrono::steady_clock::now();
+    engine<Node> eng(g, seed, congest_budget::fragmenting(16));
+    eng.spawn([&](std::size_t u) { return Node(g.degree(static_cast<node_id>(u)), p); });
+    eng.run_rounds(rounds);
+    *seconds = seconds_since(t0);
+    revocable_state st{eng.round(), eng.metrics().total(), {}};
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+        const revocable_node* nd = nullptr;
+        if constexpr (std::is_same_v<Node, revocable_node>) {
+            nd = &eng.node(u);
+        } else {
+            nd = &eng.node(u).inner();
+        }
+        st.nodes.insert(st.nodes.end(), {nd->estimate(), nd->id(), nd->leader_id(),
+                                         nd->leader_certificate(), nd->revocations()});
+    }
+    return st;
+}
+
 int run(const bench::gate_options& opt) {
     bench::gate_run gate(opt);
 
@@ -373,6 +411,46 @@ int run(const bench::gate_options& opt) {
         return 2;
     }
 
+    // --- 4. quiet-round fast-forward vs stepping every round ---
+    // The campaign policy for revocable units (sim/campaign.cpp); seed 18
+    // is elect-unknown-n's long unit on ba(8).
+    revocable_params rp = revocable_params::scaled(std::nullopt, 0.008, 0.05);
+    rp.k_cap = 16;
+    struct ff_case {
+        const char* name;
+        graph g;
+    };
+    std::vector<ff_case> ff;
+    ff.push_back({"ba(8)", make_family(graph_family::barabasi_albert, 8, 1)});
+    ff.push_back({"torus(4x4)", make_torus(4, 4)});
+    text_table t4({"workload", "rounds", "stepped s", "fast-forward s", "speedup",
+                   "identical"});
+    bool ff_identical = true;
+    for (auto& c : ff) {
+        std::uint64_t rounds = run_revocable(c.g, rp, 18).rounds;
+        if (opt.quick) rounds /= 10;
+        double stepped_s = 0;
+        const revocable_state stepped = run_revocable_rounds<always_step<revocable_node>>(
+            c.g, rp, 18, rounds, &stepped_s);
+        double fast_s = 1e300;
+        bool same = true;
+        for (int rep = 0; rep < 5; ++rep) {
+            double s = 0;
+            same = same &&
+                   run_revocable_rounds<revocable_node>(c.g, rp, 18, rounds, &s) == stepped;
+            fast_s = std::min(fast_s, s);
+        }
+        ff_identical = ff_identical && same;
+        t4.add_row({c.name, fmt_count(rounds), fmt_fixed(stepped_s, 3),
+                    fmt_fixed(fast_s, 4), fmt_ratio(stepped_s / fast_s),
+                    same ? "yes" : "NO"});
+    }
+    gate.emit("quiet-round fast-forward", t4);
+    if (!ff_identical) {
+        std::fprintf(stderr, "fast-forward diverged from stepping — engine bug\n");
+        return 2;
+    }
+
     // Gate the *speedup* columns, not absolute throughput: both sides of
     // each ratio run on the same machine in the same process, so the gate
     // is machine-independent — a slower CI runner shifts flat and legacy
@@ -381,6 +459,8 @@ int run(const bench::gate_options& opt) {
         {"engine round throughput", "workload", "speedup", false},
         {"walk ensemble throughput", "graph", "speedup", false},
         {"parallel step identity", "family", "identical", true},
+        {"quiet-round fast-forward", "workload", "speedup", false},
+        {"quiet-round fast-forward", "workload", "identical", true},
     });
 }
 

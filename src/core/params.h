@@ -183,12 +183,7 @@ struct revocable_params {
     [[nodiscard]] std::uint64_t share_denominator(std::uint64_t k) const {
         const double want = 2.0 * k_pow(k);
         std::uint64_t d = 2;
-        std::size_t log2d = 1;
-        while (static_cast<double>(d) < want) {
-            d <<= 1;
-            ++log2d;
-        }
-        (void)log2d;
+        while (static_cast<double>(d) < want) d <<= 1;
         return d;
     }
     [[nodiscard]] std::size_t share_denominator_log2(std::uint64_t k) const {

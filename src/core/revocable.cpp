@@ -1,25 +1,29 @@
 #include "core/revocable.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace anole {
 
 void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox) {
+    quiet_ = false;
     if (!started_) {
         started_ = true;
-        start_estimate(ctx);
+        start_estimate();
         start_iteration(ctx);
         broadcast(ctx, /*with_potential=*/true);
         round_in_phase_ = 1;
         return;
     }
 
+    const observed before = observe();
     if (phase_ == phase::diffuse) {
         apply_exchange(inbox, /*diffusion_update=*/true);
         if (round_in_phase_ < r_k_) {
             broadcast(ctx, /*with_potential=*/true);
             ++round_in_phase_;
+            quiet_ = observe() == before;
         } else {
             // Final diffusion exchange applied: threshold alarm
             // (Algorithm 7 line 13), then the dissemination phase opens.
@@ -40,6 +44,7 @@ void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox)
     if (round_in_phase_ < d_k_) {
         broadcast(ctx, /*with_potential=*/false);
         ++round_in_phase_;
+        quiet_ = observe() == before;
         return;
     }
 
@@ -55,14 +60,33 @@ void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox)
     // Estimate complete: decision phase (Algorithm 6 lines 14-17), then
     // the next estimate begins immediately.
     decide(ctx);
-    start_estimate(ctx);
+    start_estimate();
     start_iteration(ctx);
     broadcast(ctx, /*with_potential=*/true);
     round_in_phase_ = 1;
 }
 
-void revocable_node::start_estimate(node_ctx<rev_msg>& ctx) {
-    (void)ctx;
+std::uint64_t revocable_node::quiet_horizon() const noexcept {
+    if (!quiet_ || p_->exact_potentials) return 0;
+    return (phase_ == phase::diffuse ? r_k_ : d_k_) - round_in_phase_;
+}
+
+bit_charge revocable_node::quiet_charge() const noexcept {
+    if (phase_ == phase::disseminate) return {header_bits(), 0};
+    return {header_bits() + charged_potential_bits(round_in_phase_ + 1, share_log2_),
+            share_log2_};
+}
+
+revocable_node::observed revocable_node::observe() const noexcept {
+    return {std::bit_cast<std::uint64_t>(pot_d_), idldr_, kldr_, q_low_, c_white_,
+            leader_, phase_};
+}
+
+std::size_t revocable_node::header_bits() const noexcept {
+    return 2 + gamma0_bits(idldr_) + gamma0_bits(kldr_);
+}
+
+void revocable_node::start_estimate() {
     k_ *= 2;
     f_k_ = p_->certification_iterations(k_);
     r_k_ = p_->diffusion_rounds(k_);
@@ -147,7 +171,7 @@ void revocable_node::broadcast(node_ctx<rev_msg>& ctx, bool with_potential) {
     m.c_white = c_white_;
     m.idldr = idldr_;
     m.kldr = kldr_;
-    std::size_t bits = 2 + gamma0_bits(m.idldr) + gamma0_bits(m.kldr);
+    std::size_t bits = header_bits();
     if (with_potential) {
         if (p_->exact_potentials) {
             m.pot_x = pot_x_;

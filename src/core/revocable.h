@@ -70,6 +70,16 @@ public:
 
     void on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox);
 
+    // --- quiet-round fast-forward hooks (sim/engine.h) ---
+    // Plain rounds left in the current phase when the last round was
+    // plain and changed no observable field; 0 otherwise, and always in
+    // exact-potential mode.
+    [[nodiscard]] std::uint64_t quiet_horizon() const noexcept;
+    // What broadcast charges per message in the next plain round, growing
+    // by share_log2 bits a round while diffusing in double mode.
+    [[nodiscard]] bit_charge quiet_charge() const noexcept;
+    void fast_forward(std::uint64_t rounds) noexcept { round_in_phase_ += rounds; }
+
     // --- observers ---
     [[nodiscard]] std::uint64_t estimate() const noexcept { return k_; }
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
@@ -102,7 +112,19 @@ public:
 private:
     enum class phase : std::uint8_t { diffuse, disseminate };
 
-    void start_estimate(node_ctx<rev_msg>& ctx);
+    // Everything a neighbour or an observer can see; a plain round that
+    // leaves it unchanged is quiet.
+    struct observed {
+        std::uint64_t pot_bits;  // pot_d_, bitwise
+        std::uint64_t idldr, kldr;
+        bool q_low, c_white, leader;
+        phase ph;
+        friend bool operator==(const observed&, const observed&) = default;
+    };
+    [[nodiscard]] observed observe() const noexcept;
+    [[nodiscard]] std::size_t header_bits() const noexcept;
+
+    void start_estimate();
     void start_iteration(node_ctx<rev_msg>& ctx);
     void apply_exchange(inbox_view<rev_msg> inbox, bool diffusion_update);
     void broadcast(node_ctx<rev_msg>& ctx, bool with_potential);
@@ -127,6 +149,7 @@ private:
     // Iteration state.
     phase phase_ = phase::diffuse;
     std::uint64_t round_in_phase_ = 0;
+    bool quiet_ = false;  // last round was plain and changed nothing observed
     bool white_ = false;
     bool q_low_ = false;
     bool c_white_ = false;

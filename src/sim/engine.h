@@ -71,6 +71,40 @@
 // the measured hot path carries no per-send branch for them. Budget
 // violations are *model semantics*, not guards, and throw in every
 // configuration.
+//
+// --- quiet-round fast-forward ---
+//
+// A protocol may opt in to having runs of *quiet* rounds skipped in
+// closed form by providing three hooks (detected by `quiet_hooks<P>`;
+// protocols without them compile the skip away):
+//
+//     std::uint64_t quiet_horizon() const;  // see below
+//     bit_charge    quiet_charge() const;   // {base, slope} bits per message
+//     void          fast_forward(std::uint64_t s);
+//
+// quiet_horizon() returns 0 unless the node's last on_round was *plain*
+// (no RNG draw, no counter-driven transition) and changed nothing a
+// neighbour or an observer can see; otherwise it returns how many more
+// plain rounds follow before the node's next counter-driven transition.
+// In a plain round the node must send the same ports as in the round
+// before, with payloads that are a function of its observable state only
+// (bit sizes may grow linearly: every message of skipped round i, 0-based,
+// costs base + i·slope bits). fast_forward(s) advances the node's round
+// counters as s plain rounds would.
+//
+// Why a skip is exact: if no node changed in plain round R and round R+1
+// is also plain for every node, each node receives in R+1 exactly the
+// payloads it received in R and applies the same deterministic update, so
+// again nothing changes — by induction up to the smallest horizon. The
+// engine then charges messages, bits and congest_rounds for the skipped
+// rounds as stepping would, restamps the live slots and advances round().
+// It skips only on a static network (no dynamics, which also covers trace
+// record/replay, adaptive strategies, churn and sleep), after round 0,
+// with no node halted, and with equal slopes; the skip never crosses a
+// strict-budget throw, the stamp limit, or the run_until / run_rounds cap.
+//
+// Contract for hook protocols: run_until predicates read node state only,
+// never round() — a predicate is not evaluated inside a skipped run.
 #pragma once
 
 #include <algorithm>
@@ -99,6 +133,45 @@ concept congest_message = std::copyable<M> && std::default_initializable<M> &&
                           requires(const M& m) {
     { m.bit_size() } -> std::convertible_to<std::size_t>;
 };
+
+// Bits charged per message in a run of skipped quiet rounds: every
+// message sent in skipped round i (0-based) costs base + i·slope.
+struct bit_charge {
+    std::uint64_t base = 0;
+    std::uint64_t slope = 0;
+};
+
+// The fast-forward hooks (see the header comment).
+template <class P>
+concept quiet_hooks = requires(P& p, const P& cp, std::uint64_t s) {
+    { cp.quiet_horizon() } -> std::convertible_to<std::uint64_t>;
+    { cp.quiet_charge() } -> std::same_as<bit_charge>;
+    p.fast_forward(s);
+};
+
+// Σ_{i<n} ⌊(a·i + b)/m⌋ in O(log m) steps (the Euclid-like floor sum),
+// with 128-bit intermediates; m > 0.
+[[nodiscard]] inline unsigned __int128 floor_sum(std::uint64_t n, std::uint64_t m,
+                                                 std::uint64_t a, std::uint64_t b) {
+    using u128 = unsigned __int128;
+    u128 nn = n, mm = m, aa = a, bb = b, sum = 0;
+    while (nn != 0) {
+        if (aa >= mm) {
+            sum += (nn * (nn - 1) / 2) * (aa / mm);
+            aa %= mm;
+        }
+        if (bb >= mm) {
+            sum += nn * (bb / mm);
+            bb %= mm;
+        }
+        const u128 y_max = aa * nn + bb;
+        if (y_max < mm) break;
+        nn = y_max / mm;
+        bb = y_max % mm;
+        std::swap(mm, aa);
+    }
+    return sum;
+}
 
 // True when the engine validates protocol behaviour (port range, one send
 // per port per round) with throwing checks. Debug only; Release trusts
@@ -314,6 +387,25 @@ private:
     bool halted_flag_ = false;
 };
 
+// Hides P's fast-forward hooks, so an engine over always_step<P> steps
+// every round: the reference the fast-forward exactness checks run against.
+template <class P>
+class always_step {
+public:
+    using message_type = typename P::message_type;
+
+    template <class... Args>
+    explicit always_step(Args&&... args) : inner_(std::forward<Args>(args)...) {}
+
+    void on_round(node_ctx<message_type>& ctx, inbox_view<message_type> inbox) {
+        inner_.on_round(ctx, inbox);
+    }
+    [[nodiscard]] const P& inner() const noexcept { return inner_; }
+
+private:
+    P inner_;
+};
+
 template <class P>
 class engine {
     using round_acc = detail::engine_round_acc;
@@ -407,7 +499,15 @@ public:
     // --- running ---
 
     void run_rounds(std::uint64_t k) {
-        for (std::uint64_t i = 0; i < k; ++i) step();
+        for (std::uint64_t done = 0; done < k;) {
+            const std::uint64_t skipped = quiet_skip(k - done);
+            if (skipped > 0) {
+                done += skipped;
+            } else {
+                step();
+                ++done;
+            }
+        }
     }
 
     // Runs until every present node halted; returns rounds executed.
@@ -435,6 +535,11 @@ public:
             require(live_count() > 0,
                     "engine::run_until: no_live_nodes — every node halted, crashed "
                     "or left without satisfying the predicate");
+            const std::uint64_t skipped = quiet_skip(max_rounds - done);
+            if (skipped > 0) {
+                done += skipped;
+                continue;
+            }
             step();
             ++done;
         }
@@ -480,6 +585,71 @@ public:
     }
 
 private:
+    // Quiet-round fast-forward (see the header comment): skips up to
+    // `limit` rounds in which provably no node changes, charging them in
+    // closed form. Returns the rounds skipped; 0 means step normally.
+    std::uint64_t quiet_skip(std::uint64_t limit) {
+        if constexpr (!quiet_hooks<P>) {
+            (void)limit;
+            return 0;
+        } else {
+            if (dyn_ || round_ == 0 || halted_count_ != 0 || procs_.empty()) return 0;
+            std::uint64_t s = std::min<std::uint64_t>(limit, 0xfffffffdull - round_);
+            const std::size_t n = g_.num_nodes();
+            for (node_id u = 0; u < n && s > 0; ++u) {
+                s = std::min<std::uint64_t>(s, procs_[u].quiet_horizon());
+            }
+            if (s == 0) return 0;
+
+            // Round i's largest message is max_base + i·slope bits, sent
+            // by every node: per-node bases, one common slope.
+            using u128 = unsigned __int128;
+            const std::uint64_t slope = procs_[0].quiet_charge().slope;
+            std::uint64_t max_base = 0;
+            std::uint64_t deg_sum = 0;
+            u128 deg_base_sum = 0;
+            for (node_id u = 0; u < n; ++u) {
+                const bit_charge c = procs_[u].quiet_charge();
+                if (c.slope != slope) return 0;
+                const std::size_t deg = g_.degree(u);
+                if (deg == 0) continue;
+                max_base = std::max(max_base, c.base);
+                deg_sum += deg;
+                deg_base_sum += static_cast<u128>(deg) * c.base;
+            }
+            const bool sends = deg_sum > 0;
+            const std::uint64_t budget = budget_bits_;
+            if (sends && budget_.mode == budget_mode::strict) {
+                // Stop before the first round a message would throw.
+                if (max_base > budget) return 0;
+                if (slope > 0) s = std::min(s, (budget - max_base) / slope + 1);
+            }
+
+            // Round i costs max(1, ⌈(max_base + i·slope)/B⌉) when fragmenting.
+            u128 congest = s;
+            if (sends && budget_.mode == budget_mode::fragment) {
+                congest = floor_sum(s, budget, slope, max_base + budget - 1);
+                if (max_base == 0) congest += slope == 0 ? s : 1;
+            }
+            const u128 ss = s;
+            const u128 bits =
+                ss * deg_base_sum + static_cast<u128>(slope) * (ss * (ss - 1) / 2) * deg_sum;
+            metrics_.count_messages(static_cast<std::uint64_t>(ss * deg_sum),
+                                    static_cast<std::uint64_t>(bits));
+            metrics_.count_rounds(s, static_cast<std::uint64_t>(congest));
+
+            const auto mark = static_cast<std::uint32_t>(round_ + 1);
+            const auto next_mark = static_cast<std::uint32_t>(round_ + 1 + s);
+            for (std::uint32_t& stamp : cur_stamp_) {
+                if (stamp == mark) stamp = next_mark;
+            }
+            round_ += s;
+            skipped_rounds_ += s;
+            for (P& p : procs_) p.fast_forward(s);
+            return s;
+        }
+    }
+
     // The serial pre-round adversary pass (see sim/dynamics.h), in the
     // fixed phase order trace record/replay relies on: re-wires ports
     // (relocating in-flight payloads alongside their slots, so the
@@ -613,6 +783,8 @@ public:
     [[nodiscard]] sim_metrics& metrics() noexcept { return metrics_; }
     [[nodiscard]] const sim_metrics& metrics() const noexcept { return metrics_; }
     [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
+    // Rounds of round() that were fast-forwarded rather than stepped.
+    [[nodiscard]] std::uint64_t skipped_rounds() const noexcept { return skipped_rounds_; }
     // Halted among *present* nodes (protocol halts plus crashes).
     [[nodiscard]] std::size_t halted_count() const noexcept { return halted_count_; }
     // Membership view: present = currently part of the network; live =
@@ -708,6 +880,7 @@ private:
     std::size_t halted_count_ = 0;
     std::size_t present_count_ = 0;
     std::uint64_t round_ = 0;
+    std::uint64_t skipped_rounds_ = 0;
     sim_metrics metrics_;
 };
 

@@ -43,11 +43,15 @@ class sim_metrics {
 public:
     void begin_phase(const std::string& name) { current_ = name; }
 
-    void count_round(std::uint64_t congest_cost) noexcept {
+    void count_round(std::uint64_t congest_cost) noexcept { count_rounds(1, congest_cost); }
+
+    // Bulk form: `rounds` rounds costing `congest_cost` in total (the
+    // engine's quiet-round fast-forward charges a skipped run at once).
+    void count_rounds(std::uint64_t rounds, std::uint64_t congest_cost) noexcept {
         auto& c = phases_[current_];
-        ++c.rounds;
+        c.rounds += rounds;
         c.congest_rounds += congest_cost;
-        ++total_.rounds;
+        total_.rounds += rounds;
         total_.congest_rounds += congest_cost;
     }
     void count_message(std::uint64_t bits) noexcept { count_messages(1, bits); }
