@@ -63,16 +63,6 @@ namespace {
     std::exit(code);
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,20 +134,7 @@ int main(int argc, char** argv) {
                 spec.variants.push_back(*k);
             }
         } else if (a == "--dynamics") {
-            spec.dynamics.clear();
-            for (const std::string& name : split_csv(value())) {
-                if (name == "all") {
-                    spec.dynamics = all_dynamics_presets();
-                    break;
-                }
-                const auto d = dynamics_preset(name);
-                if (!d) {
-                    std::fprintf(stderr, "error: unknown dynamics preset '%s'\n",
-                                 name.c_str());
-                    return 2;
-                }
-                spec.dynamics.emplace_back(name, *d);
-            }
+            spec.dynamics = parse_presets(value(), "--dynamics");
         } else if (a == "--seeds") {
             spec.seeds = parse_count(argc, argv, i, "--seeds");
             seeds_set = true;

@@ -10,8 +10,6 @@
 // that exhausts its round or budget cap counts as a bounded failure,
 // never a hang), rounds and messages. The "static" preset is always
 // swept first as the baseline the degradation is read against.
-#include <sstream>
-
 #include "bench/common.h"
 #include "sim/campaign.h"
 #include "sim/dynamics.h"
@@ -19,53 +17,14 @@
 using namespace anole;
 using namespace anole::bench;
 
-namespace {
-
-std::vector<std::pair<std::string, dynamics_spec>> pick_dynamics(int argc,
-                                                                 char** argv) {
-    // One extra flag on top of the shared options: --dynamics d1,d2,...
-    // (parsed before options::parse sees the argv copy below).
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--dynamics" && i + 1 < argc) {
-            std::vector<std::pair<std::string, dynamics_spec>> out;
-            std::stringstream ss(argv[i + 1]);
-            std::string name;
-            while (std::getline(ss, name, ',')) {
-                if (name.empty()) continue;
-                if (name == "all") return all_dynamics_presets();
-                const auto d = dynamics_preset(name);
-                if (!d) {
-                    std::fprintf(stderr, "error: unknown dynamics preset '%s'\n",
-                                 name.c_str());
-                    std::exit(2);
-                }
-                out.emplace_back(name, *d);
-            }
-            return out;
-        }
-    }
-    return all_dynamics_presets();
-}
-
-// Strips --dynamics VALUE so options::parse doesn't reject it.
-std::vector<char*> strip_dynamics_flag(int argc, char** argv) {
-    std::vector<char*> out;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--dynamics") {
-            ++i;  // skip the value too
-            continue;
-        }
-        out.push_back(argv[i]);
-    }
-    return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-    const auto dynamics = pick_dynamics(argc, argv);
-    std::vector<char*> args = strip_dynamics_flag(argc, argv);
-    const options opt = options::parse(static_cast<int>(args.size()), args.data());
+    // One extra flag on top of the shared options: --dynamics d1,d2,...
+    auto dynamics = all_dynamics_presets();
+    const options opt = options::parse(argc, argv, [&](const std::string& a, int& i) {
+        if (a != "--dynamics") return false;
+        dynamics = parse_presets(flag_value(argc, argv, i, "--dynamics"), "--dynamics");
+        return true;
+    });
 
     const std::size_t n = opt.quick ? 32 : 64;
     const std::size_t seeds = opt.seeds_or(opt.quick ? 2 : 4);

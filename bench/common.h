@@ -23,12 +23,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/spectral.h"
+#include "sim/dynamics.h"
 #include "sim/runner.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -63,6 +67,40 @@ inline std::size_t parse_count(int argc, char** argv, int& i, const char* flag) 
     return static_cast<std::size_t>(parse_u64(flag_value(argc, argv, i, flag), flag));
 }
 
+// The non-empty items of a comma list.
+inline std::vector<std::string> split_csv(const std::string& s) {
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (!item.empty()) out.push_back(item);
+    }
+    return out;
+}
+
+// The dynamics presets named by a comma list ("all" = every preset), or
+// exit 2 on an unknown name or a list that names none.
+inline std::vector<std::pair<std::string, dynamics_spec>> parse_presets(
+    const std::string& list, const char* flag) {
+    std::vector<std::pair<std::string, dynamics_spec>> out;
+    for (const std::string& name : split_csv(list)) {
+        if (name == "all") return all_dynamics_presets();
+        const auto d = dynamics_preset(name);
+        if (!d) {
+            std::fprintf(stderr, "error: %s: unknown dynamics preset '%s'\n", flag,
+                         name.c_str());
+            std::exit(2);
+        }
+        out.emplace_back(name, *d);
+    }
+    if (out.empty()) {
+        std::fprintf(stderr, "error: %s expects a comma list of presets, got '%s'\n",
+                     flag, list.c_str());
+        std::exit(2);
+    }
+    return out;
+}
+
 struct options {
     bool quick = false;
     bool full = false;
@@ -72,10 +110,14 @@ struct options {
     std::size_t jobs = 0;       // 0 = hardware concurrency
     std::size_t node_jobs = 0;  // 0 = serial engine rounds
 
-    static options parse(int argc, char** argv) {
+    // `extra(flag, i)` may claim a bench-specific flag (returning true,
+    // with i advanced past any value it read) before it counts as unknown.
+    using extra_flag = std::function<bool(const std::string&, int&)>;
+    static options parse(int argc, char** argv, const extra_flag& extra = {}) {
         options o;
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
+            if (extra && extra(a, i)) continue;
             if (a == "--quick") {
                 o.quick = true;
             } else if (a == "--full") {

@@ -54,6 +54,9 @@ public:
     [[nodiscard]] std::size_t max_degree() const noexcept { return max_degree_; }
 
     // --- topology access (engine-side only) ---
+    // CSR index of (u, port 0): directed edge (u, p) is entry offset(u) + p
+    // of every per-directed-edge table (the engine's message slots).
+    [[nodiscard]] std::size_t offset(node_id u) const noexcept { return offsets_[u]; }
     // Neighbor reached from u via local port p (0 <= p < degree(u)).
     [[nodiscard]] node_id neighbor(node_id u, port_id p) const noexcept {
         return nbr_[offsets_[u] + p];

@@ -170,13 +170,13 @@ struct profile_options {
     // Approximate work budget (inner-loop operations) for *measuring*
     // tmix; when both the dense and the sampled estimator would exceed
     // it, profile() reports the spectral bound instead.
-    std::uint64_t tmix_work_budget = 400'000'000;
+    static constexpr std::uint64_t tmix_work_budget = 400'000'000;
     // Below this n, tmix is evaluated exhaustively from every start.
-    std::size_t exhaustive_tmix_n = 128;
+    static constexpr std::size_t exhaustive_tmix_n = 128;
     // All-pairs BFS diameter only while n·m stays under this.
-    std::uint64_t exact_diameter_work = 50'000'000;
+    static constexpr std::uint64_t exact_diameter_work = 50'000'000;
     // Exact-enumeration cut bound (must stay <= 24, see properties.h).
-    std::size_t exact_cuts_n = 20;
+    static constexpr std::size_t exact_cuts_n = 20;
 };
 
 // Computes the profile, honoring generator-provided graph_facts when

@@ -192,30 +192,35 @@ std::vector<std::pair<std::string, dynamics_spec>> all_dynamics_presets() {
     return out;
 }
 
-// --- slot layout -------------------------------------------------------------
+// --- slot tables -------------------------------------------------------------
 
-slot_layout::slot_layout(const graph& g) {
-    const std::size_t n = g.num_nodes();
-    base.assign(n + 1, 0);
-    for (node_id u = 0; u < n; ++u) base[u + 1] = base[u] + g.degree(u);
-    const std::size_t slots = base[n];
-    owner.resize(slots);
-    peer.resize(slots);
-    for (node_id u = 0; u < n; ++u) {
+std::vector<std::uint32_t> peer_slots(const graph& g) {
+    const std::size_t slots = 2 * g.num_edges();
+    require(slots < 0xffffffffull, "peer_slots: > 2^32 directed edges unsupported");
+    std::vector<std::uint32_t> peer(slots);
+    for (node_id u = 0; u < g.num_nodes(); ++u) {
         const auto deg = static_cast<port_id>(g.degree(u));
         for (port_id p = 0; p < deg; ++p) {
-            owner[base[u] + p] = u;
-            peer[base[u] + p] = static_cast<std::uint32_t>(
-                base[g.neighbor(u, p)] + g.reverse_port(u, p));
+            peer[g.offset(u) + p] = static_cast<std::uint32_t>(
+                g.offset(g.neighbor(u, p)) + g.reverse_port(u, p));
         }
     }
+    return peer;
+}
+
+std::vector<node_id> slot_owners(const graph& g) {
+    std::vector<node_id> owner(2 * g.num_edges());
+    for (node_id u = 0; u < g.num_nodes(); ++u) {
+        std::fill_n(owner.begin() + static_cast<std::ptrdiff_t>(g.offset(u)),
+                    g.degree(u), u);
+    }
+    return owner;
 }
 
 // --- in-place rewire ---------------------------------------------------------
 
-void apply_port_rewire(const std::vector<std::size_t>& slot_base,
-                       const std::vector<node_id>& slot_owner,
-                       std::vector<std::uint32_t>& peer_slot,
+void apply_port_rewire(const graph& g, const std::vector<node_id>& owner,
+                       std::vector<std::uint32_t>& peer,
                        const std::vector<node_id>& nodes, std::uint64_t seed,
                        std::vector<std::pair<std::uint32_t, std::uint32_t>>& moves) {
     if (nodes.empty()) return;
@@ -234,8 +239,7 @@ void apply_port_rewire(const std::vector<std::size_t>& slot_base,
     static thread_local std::vector<std::uint32_t> old_peer;
     off.assign(nodes.size() + 1, 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const node_id u = nodes[i];
-        off[i + 1] = off[i] + (slot_base[u + 1] - slot_base[u]);
+        off[i + 1] = off[i] + g.degree(nodes[i]);
     }
     perm.resize(off.back());
     old_peer.resize(off.back());
@@ -243,17 +247,17 @@ void apply_port_rewire(const std::vector<std::size_t>& slot_base,
         const node_id u = nodes[i];
         const std::size_t d = off[i + 1] - off[i];
         fill_port_permutation(seed, u, std::span<port_id>(perm.data() + off[i], d));
-        std::copy_n(peer_slot.data() + slot_base[u], d, old_peer.data() + off[i]);
+        std::copy_n(peer.data() + g.offset(u), d, old_peer.data() + off[i]);
     }
 
     // σ relabels slots within rewired nodes' ranges and fixes the rest.
     const auto sigma = [&](std::uint32_t t) -> std::uint32_t {
-        const node_id v = slot_owner[t];
+        const node_id v = owner[t];
         const std::ptrdiff_t j = rewired_index(v);
         if (j < 0) return t;
-        const auto p = static_cast<std::size_t>(t - slot_base[v]);
-        return static_cast<std::uint32_t>(slot_base[v] +
-                                          perm[off[static_cast<std::size_t>(j)] + p]);
+        const std::size_t base = g.offset(v);
+        return static_cast<std::uint32_t>(
+            base + perm[off[static_cast<std::size_t>(j)] + (t - base)]);
     };
 
     // New peer table: peer'[σ(s)] = σ(peer[s]) for every directed edge
@@ -263,14 +267,14 @@ void apply_port_rewire(const std::vector<std::size_t>& slot_base,
     // peer' an involution and the induced multigraph untouched.
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const node_id u = nodes[i];
-        const std::size_t base = slot_base[u];
+        const std::size_t base = g.offset(u);
         const std::size_t d = off[i + 1] - off[i];
         for (std::size_t p = 0; p < d; ++p) {
             const auto s = static_cast<std::uint32_t>(base + p);
             const auto s2 = static_cast<std::uint32_t>(base + perm[off[i] + p]);
             const std::uint32_t t = old_peer[off[i] + p];
-            peer_slot[s2] = sigma(t);
-            if (rewired_index(slot_owner[t]) < 0) peer_slot[t] = s2;
+            peer[s2] = sigma(t);
+            if (rewired_index(owner[t]) < 0) peer[t] = s2;
             if (s2 != s) moves.emplace_back(s, s2);
         }
     }
@@ -278,11 +282,11 @@ void apply_port_rewire(const std::vector<std::size_t>& slot_base,
 
 // --- runtime state -----------------------------------------------------------
 
-dynamics_state::dynamics_state(const graph& g, const dynamics_spec& spec,
-                               std::uint64_t run_seed)
-    : g_(g), spec_(spec),
+dynamics_state::dynamics_state(const graph& g, std::vector<std::uint32_t>& peer,
+                               const dynamics_spec& spec, std::uint64_t run_seed)
+    : g_(g), peer_(peer), spec_(spec),
       seed_(spec.seed != 0 ? spec.seed : derive_seed(run_seed, 0xD74A, 0x1C5)),
-      layout_(g) {
+      owner_(slot_owners(g)) {
     spec_.validate();
     const std::size_t n = g.num_nodes();
     if (!spec_.trace_replay.empty()) {
@@ -292,7 +296,7 @@ dynamics_state::dynamics_state(const graph& g, const dynamics_spec& spec,
         // the original run exactly); only the trace paths themselves
         // survive from the caller's spec.
         replay_ = std::make_unique<trace_log>(trace_log::load(spec_.trace_replay));
-        replay_->check_against(n, layout_.peer.size(), g.num_edges());
+        replay_->check_against(n, peer_.size(), g.num_edges());
         auto [name, recorded] = dynamics_from_json(json_parse(replay_->spec_json));
         (void)name;
         recorded.trace_record = spec_.trace_record;
@@ -305,7 +309,7 @@ dynamics_state::dynamics_state(const graph& g, const dynamics_spec& spec,
         header.trace_record.clear();
         header.trace_replay.clear();
         writer_ = std::make_unique<trace_writer>(spec_.trace_record, n,
-                                                 layout_.peer.size(), g.num_edges(),
+                                                 peer_.size(), g.num_edges(),
                                                  seed_, header.to_json());
     }
     if (spec_.strategy == adaptive_kind::leader_assassin && !replaying()) {
@@ -314,12 +318,12 @@ dynamics_state::dynamics_state(const graph& g, const dynamics_spec& spec,
     if (spec_.edge_down_prob > 0) {
         // Undirected edge ids per slot, and the protected BFS backbone.
         const std::size_t m = g.num_edges();
-        slot_edge_.assign(layout_.peer.size(), 0);
+        slot_edge_.assign(peer_.size(), 0);
         std::uint32_t next_edge = 0;
-        for (std::uint32_t s = 0; s < layout_.peer.size(); ++s) {
-            if (s < layout_.peer[s]) {
+        for (std::uint32_t s = 0; s < peer_.size(); ++s) {
+            if (s < peer_[s]) {
                 slot_edge_[s] = next_edge;
-                slot_edge_[layout_.peer[s]] = next_edge;
+                slot_edge_[peer_[s]] = next_edge;
                 ++next_edge;
             }
         }
@@ -338,7 +342,7 @@ dynamics_state::dynamics_state(const graph& g, const dynamics_spec& spec,
                     const node_id v = g.neighbor(u, p);
                     if (vis[v]) continue;
                     vis[v] = 1;
-                    backbone_[slot_edge_[layout_.base[u] + p]] = 1;
+                    backbone_[slot_edge_[g.offset(u) + p]] = 1;
                     q.push(v);
                 }
             }
@@ -389,8 +393,8 @@ bool dynamics_state::replay_take(std::uint64_t round, trace_kind kind,
 }
 
 const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan_rewire(
-    std::uint64_t round, std::vector<std::uint32_t>& peer_slot,
-    const std::vector<char>& halted, const std::vector<char>& present) {
+    std::uint64_t round, const std::vector<char>& halted,
+    const std::vector<char>& present) {
     moves_.clear();
     rewired_.clear();
     if (replay_) {
@@ -426,8 +430,7 @@ const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan
         }
     }
     if (rewired_.empty()) return moves_;
-    apply_port_rewire(layout_.base, layout_.owner, peer_slot, rewired_,
-                      rewire_seed(round), moves_);
+    apply_port_rewire(g_, owner_, peer_, rewired_, rewire_seed(round), moves_);
     // Auxiliary per-slot tables relocate along with the payload.
     if (!slot_edge_.empty()) {
         static thread_local std::vector<std::uint32_t> scratch;
@@ -443,8 +446,8 @@ const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan
 
 void dynamics_state::release_slot_range(node_id u, std::uint32_t mark,
                                         std::vector<std::uint32_t>& cur_stamp) {
-    const std::size_t lo = layout_.base[u];
-    const std::size_t hi = layout_.base[u + 1];
+    const std::size_t lo = g_.offset(u);
+    const std::size_t hi = lo + g_.degree(u);
     for (std::size_t s = lo; s < hi; ++s) {
         if (cur_stamp[s] == mark) ++stats_.released_messages;
         cur_stamp[s] = 0;  // 0 never matches a delivery mark
@@ -538,7 +541,7 @@ const std::vector<node_id>& dynamics_state::plan_adaptive(
             // computation (max-id waves, walk tokens, recruitment).
             for (std::uint32_t s = 0; s < cur_stamp.size(); ++s) {
                 if (cur_stamp[s] != mark) continue;
-                const node_id u = layout_.owner[s];
+                const node_id u = owner_[s];
                 if (halted[u] || !present[u] || flag(decided, u)) continue;
                 if (detail::hash_bernoulli(seed_, round, s, 0xF057,
                                            spec_.strategy_intensity)) {
@@ -553,8 +556,8 @@ const std::vector<node_id>& dynamics_state::plan_adaptive(
             // between settled territory and nodes still undecided.
             for (std::uint32_t s = 0; s < cur_stamp.size(); ++s) {
                 if (cur_stamp[s] != mark) continue;
-                const node_id u = layout_.owner[s];
-                const node_id v = layout_.owner[layout_.peer[s]];
+                const node_id u = owner_[s];
+                const node_id v = owner_[peer_[s]];
                 if (flag(decided, u) == flag(decided, v)) continue;
                 if (detail::hash_bernoulli(seed_, round, s, 0xC07,
                                            spec_.strategy_intensity)) {

@@ -228,19 +228,16 @@ struct dynamics_stats {
     friend bool operator==(const dynamics_stats&, const dynamics_stats&) = default;
 };
 
-// --- slot-layout primitives --------------------------------------------------
+// --- slot tables -------------------------------------------------------------
 
-// The engine's sender-major CSR slot tables, reproduced here so the
-// rewire algorithm is unit-testable without an engine: slot(u, p) =
-// base[u] + p, peer[slot(u, p)] = the reverse directed edge's slot (an
-// involution), owner[s] = the node whose out-slot s is.
-struct slot_layout {
-    std::vector<std::size_t> base;       // n+1 CSR offsets
-    std::vector<node_id> owner;          // 2m entries
-    std::vector<std::uint32_t> peer;     // 2m entries, involution
-
-    explicit slot_layout(const graph& g);
-};
+// The engine's sender-major slots follow the graph's CSR indexing:
+// slot(u, p) = g.offset(u) + p. peer_slots(g)[slot(u, p)] is the reverse
+// directed edge's slot (an involution) — the engine's peer table, built
+// here and nowhere else (throws past 2^32 directed edges).
+// slot_owners(g)[s] is the node whose out-slot s is; rewires never change
+// it, since a relabeling permutes a node's own slot range.
+[[nodiscard]] std::vector<std::uint32_t> peer_slots(const graph& g);
+[[nodiscard]] std::vector<node_id> slot_owners(const graph& g);
 
 // Applies the port relabelings of `nodes` (sorted, unique) to the peer
 // table in place — peer stays an involution and the induced multigraph
@@ -250,9 +247,8 @@ struct slot_layout {
 // ids) with a gather/scatter. Per-node permutations are drawn via
 // fill_port_permutation(seed, u), identical to with_permuted_ports(seed).
 // O(Σ degree(u) · log |nodes|).
-void apply_port_rewire(const std::vector<std::size_t>& slot_base,
-                       const std::vector<node_id>& slot_owner,
-                       std::vector<std::uint32_t>& peer_slot,
+void apply_port_rewire(const graph& g, const std::vector<node_id>& owner,
+                       std::vector<std::uint32_t>& peer,
                        const std::vector<node_id>& nodes, std::uint64_t seed,
                        std::vector<std::pair<std::uint32_t, std::uint32_t>>& moves);
 
@@ -275,12 +271,17 @@ namespace detail {
 
 // Per-engine adversary state: owns the schedule (windowed churn draws,
 // sleep clocks), the auxiliary slot tables (owner, edge ids) and the
-// realized-event statistics. The engine calls the three plan_* /
-// apply_* hooks serially at the top of every step(); the only per-node
-// query from inside sharded rounds is asleep(), which is read-only.
+// realized-event statistics. It reads and rewires the engine's live peer
+// table `peer` (peer_slots(g) before the first rewire) in place and keeps
+// no copy of it, so every strategy sees the ports as they are now. The
+// engine calls the plan_* / apply_* hooks serially at the top of every
+// step(); the only per-node query from inside sharded rounds is asleep(),
+// which is read-only.
 class dynamics_state {
 public:
-    dynamics_state(const graph& g, const dynamics_spec& spec, std::uint64_t run_seed);
+    // `peer` must outlive this object.
+    dynamics_state(const graph& g, std::vector<std::uint32_t>& peer,
+                   const dynamics_spec& spec, std::uint64_t run_seed);
 
     [[nodiscard]] const dynamics_spec& spec() const noexcept { return spec_; }
     [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
@@ -300,14 +301,14 @@ public:
     }
     [[nodiscard]] bool replaying() const noexcept { return replay_ != nullptr; }
 
-    // (1) Port re-wiring: updates `peer_slot` in place for the nodes the
-    // adversary relabels in `round` (skipping halted and absent nodes)
+    // (1) Port re-wiring: updates the peer table in place for the nodes
+    // the adversary relabels in `round` (skipping halted and absent nodes)
     // and returns the payload moves the engine must mirror onto its
     // in-flight message/stamp arrays. The returned reference is valid
     // until the next call.
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan_rewire(
-        std::uint64_t round, std::vector<std::uint32_t>& peer_slot,
-        const std::vector<char>& halted, const std::vector<char>& present);
+        std::uint64_t round, const std::vector<char>& halted,
+        const std::vector<char>& present);
 
     // (2) Membership churn: draws leave/join for this round, releases the
     // out-slot range of every leaver (in-flight messages from it die),
@@ -369,10 +370,11 @@ private:
                             std::vector<std::uint32_t>& cur_stamp);
 
     const graph& g_;
+    std::vector<std::uint32_t>& peer_;  // the engine's live peer table
     dynamics_spec spec_;
     std::uint64_t seed_;
 
-    slot_layout layout_;
+    std::vector<node_id> owner_;  // slot_owners(g_)
     // Churn: undirected edge id per slot (maintained under rewires), the
     // backbone mask, and the current window's down set.
     std::vector<std::uint32_t> slot_edge_;

@@ -31,7 +31,7 @@
 // slots, one per directed edge, laid out CSR-style and indexed by the
 // *sender*:
 //
-//     slot(u, p) = slot_base_[u] + p          (p = out-port at u)
+//     slot(u, p) = g.offset(u) + p          (p = out-port at u)
 //
 //     cur_msg_   [ u0.p0 | u0.p1 | u1.p0 | u1.p1 | u1.p2 | ... ]  2m slots
 //     cur_stamp_ [   7   |   -   |   -   |   7   |   7   | ... ]  parallel
@@ -44,12 +44,15 @@
 // repeated stamp right there), and a whole round's staging is a single
 // sequential pass over the buffers. Delivery is the cheap half: node v's
 // inbox gathers through the precomputed peer-slot table
-// (peer[slot(v, q)] = slot(u, p), an involution) — scattered *reads*,
-// which dirty no cache lines and land in the compact stamp/message
-// arrays rather than padded structs. End of round, the cur/nxt buffers
-// swap in O(1). Compared to per-node inbox vectors this removes all
-// per-message heap traffic, the per-send engine round-trip and metrics
-// work, the scattered delivery stores, and the O(n) per-round clear.
+// (peer[slot(v, q)] = slot(u, p), an involution, built by peer_slots in
+// sim/dynamics.h) — scattered *reads*, which dirty no cache lines and
+// land in the compact stamp/message arrays rather than padded structs.
+// The graph's CSR offsets are the only slot base and this is the only
+// peer table: the rewire adversary edits it in place. End of round, the
+// cur/nxt buffers swap in O(1). Compared to per-node inbox vectors this
+// removes all per-message heap traffic, the per-send engine round-trip
+// and metrics work, the scattered delivery stores, and the O(n)
+// per-round clear.
 //
 // Because every slot has a unique writer and every node draws from a
 // private RNG stream, rounds can also be sharded across a thread pool
@@ -417,28 +420,13 @@ public:
     // The engine references (not copies) the graph; keep it alive.
     engine(const graph& g, std::uint64_t seed, congest_budget budget = {})
         : g_(g), budget_(budget), budget_bits_(budget.resolve(g.num_nodes())),
-          par_(ambient_engine_parallelism()) {
+          par_(ambient_engine_parallelism()), peer_slot_(peer_slots(g)) {
         const std::size_t n = g_.num_nodes();
-        slot_base_.resize(n + 1, 0);
-        for (node_id u = 0; u < n; ++u) slot_base_[u + 1] = slot_base_[u] + g_.degree(u);
-        const std::size_t slots = slot_base_[n];
-        require(slots < 0xffffffffull, "engine: > 2^32 directed edges unsupported");
+        const std::size_t slots = peer_slot_.size();
         cur_msg_.resize(slots);
         nxt_msg_.resize(slots);
         cur_stamp_.assign(slots, 0);
         nxt_stamp_.assign(slots, 0);
-        // Peer slot per directed edge: where the other end of (u, p)
-        // stages its messages. Precomputed so inbox gathers are one table
-        // load instead of neighbor + reverse-port + offset arithmetic.
-        // (The map is an involution: peer[peer[s]] == s.)
-        peer_slot_.resize(slots);
-        for (node_id u = 0; u < n; ++u) {
-            const auto deg = static_cast<port_id>(g_.degree(u));
-            for (port_id p = 0; p < deg; ++p) {
-                peer_slot_[slot_base_[u] + p] = static_cast<std::uint32_t>(
-                    slot_base_[g_.neighbor(u, p)] + g_.reverse_port(u, p));
-            }
-        }
         rngs_.reserve(n);
         for (node_id u = 0; u < n; ++u) rngs_.emplace_back(derive_seed(seed, u, 0xA0CE));
         halted_.assign(n, 0);
@@ -466,7 +454,7 @@ public:
     void set_dynamics(const dynamics_spec& spec, std::uint64_t run_seed) {
         require(round_ == 0, "engine::set_dynamics: call before the first round");
         if (spec.enabled()) {
-            dyn_ = std::make_unique<dynamics_state>(g_, spec, run_seed);
+            dyn_ = std::make_unique<dynamics_state>(g_, peer_slot_, spec, run_seed);
         } else {
             dyn_.reset();
         }
@@ -660,7 +648,7 @@ private:
     // node RNG streams.
     void apply_dynamics() {
         const auto mark = static_cast<std::uint32_t>(round_ + 1);
-        const auto& moves = dyn_->plan_rewire(round_, peer_slot_, halted_, present_);
+        const auto& moves = dyn_->plan_rewire(round_, halted_, present_);
         if (!moves.empty()) {
             // Gather payloads at old slots, then scatter to new ones —
             // cycles in the slot permutation make in-place moves unsafe.
@@ -818,7 +806,7 @@ private:
             // to them this round expire unread (stamps only grow).
             // asleep() is read-only, so the shard stays race-free.
             if (dyn_ && dyn_->asleep(u, round_)) continue;
-            const std::size_t base = slot_base_[u];
+            const std::size_t base = g_.offset(u);
             node_ctx<message_type> ctx;
             ctx.degree_ = g_.degree(u);
             ctx.round_ = round_;
@@ -855,8 +843,10 @@ private:
     std::uint64_t budget_bits_;
     engine_parallelism par_;
     std::unique_ptr<thread_pool> owned_pool_;
-    std::vector<std::size_t> slot_base_;  // n+1 CSR offsets into the 2m slots
-    std::vector<std::uint32_t> peer_slot_;  // the reverse directed edge's slot
+    // The reverse directed edge's slot: where the other end of (u, p)
+    // stages its messages, so inbox gathers are one table load. The
+    // dynamics adversary rewires this table in place.
+    std::vector<std::uint32_t> peer_slot_;
     // Flat slot transport: one message + one stamp per directed edge,
     // double-buffered and swapped each round. A slot is live iff its
     // stamp == round + 1.

@@ -18,6 +18,12 @@ namespace anole {
 
 namespace {
 
+// Topology gallery caps: families whose largest instance exceeds the
+// node cap are skipped (with a note) rather than stalling the report,
+// and each thumbnail draws at most this many edges.
+constexpr std::size_t max_thumb_nodes = 150000;
+constexpr std::size_t thumb_edge_cap = 4000;
+
 // --- small helpers ----------------------------------------------------------
 
 std::string html_escape(const std::string& s) {
@@ -376,7 +382,7 @@ std::string gallery_html(const std::vector<campaign_record>& records,
 
     thread_pool pool(opt.jobs);
     layout_svg_options svg_opt;
-    svg_opt.max_edges = opt.thumb_edge_cap;
+    svg_opt.max_edges = thumb_edge_cap;
 
     // One job per pick, each writing only its own slot; the force pass
     // inside shards over the same (helping) pool. Slots are joined in
@@ -391,7 +397,7 @@ std::string gallery_html(const std::vector<campaign_record>& records,
         std::string& f = figures[i];
         try {
             f = "<figure class=\"thumb\">";
-            if (p.n > opt.max_thumb_nodes) {
+            if (p.n > max_thumb_nodes) {
                 f += "<div class=\"thumb-skip\">n=" + std::to_string(p.n) +
                      " exceeds the thumbnail cap</div>";
             } else {

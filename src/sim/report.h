@@ -35,12 +35,9 @@ struct report_options {
     // When nonzero, the coverage tile shows recorded/expected (the merge
     // path knows the expansion size; a bare ledger does not).
     std::size_t expected_units = 0;
-    // Topology gallery knobs. Thumbnails cost one graph build + layout
-    // per family; families whose largest instance exceeds the node cap
-    // are skipped (with a note) rather than stalling report generation.
+    // Topology gallery. Thumbnails cost one graph build + layout per
+    // family; families past report.cpp's node cap are skipped with a note.
     bool thumbnails = true;
-    std::size_t max_thumb_nodes = 150000;
-    std::size_t thumb_edge_cap = 4000;
     // Worker threads for the gallery; 0 = hardware concurrency. One pool
     // serves both levels: families lay out concurrently (one job per
     // thumbnail), and each thumbnail's force pass shards over the same

@@ -190,17 +190,7 @@ scenario_result scenario_runner::prepare(const scenario& s) {
 }
 
 scenario_result scenario_runner::run(const scenario& s) {
-    scenario_result out = prepare(s);
-    const graph& g = *out.topology;
-    const std::size_t node_jobs = node_jobs_for(s);
-    pool_.parallel_for(out.runs.size(), [&](std::size_t r) {
-        // Engines built inside the drivers inherit the ambient
-        // parallelism; rounds shard over this same pool (helping waits
-        // make the nesting deadlock-free).
-        scoped_engine_parallelism par(engine_parallelism{&pool_, node_jobs});
-        out.runs[r] = run_once(g, out.profile, s.algo, s.seed + r, s.dynamics);
-    });
-    return out;
+    return std::move(run_batch({s}).front());
 }
 
 std::vector<scenario_result> scenario_runner::run_batch(
@@ -222,11 +212,13 @@ std::vector<scenario_result> scenario_runner::run_batch(
     // Stage 2: every (scenario, repetition) pair is one pool job.
     for (std::size_t i = 0; i < batch.size(); ++i) results[i] = prepare(batch[i]);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::size_t node_jobs = node_jobs_for(batch[i]);
         for (std::size_t r = 0; r < results[i].runs.size(); ++r) {
-            pool_.submit([this, &batch, &results, node_jobs, i, r] {
+            pool_.submit([this, &batch, &results, i, r] {
+                // Engines built inside the drivers inherit the ambient
+                // parallelism; rounds shard over this same pool (helping
+                // waits make the nesting deadlock-free).
                 scoped_engine_parallelism par(
-                    engine_parallelism{&pool_, node_jobs});
+                    engine_parallelism{&pool_, node_jobs_});
                 results[i].runs[r] = run_once(*results[i].topology, results[i].profile,
                                               batch[i].algo, batch[i].seed + r,
                                               batch[i].dynamics);

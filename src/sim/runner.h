@@ -35,11 +35,13 @@ namespace anole {
 class scenario_runner {
 public:
     // jobs = 0 selects hardware concurrency. node_jobs shards the rounds of
-    // scenarios that leave scenario::node_jobs at 0 (`--node-jobs` in the
-    // benches) over this runner's pool — safe to nest inside repetition
-    // jobs, see thread_pool::parallel_for; 1 means serial rounds.
+    // every scenario's engines (`--node-jobs` in the benches) over this
+    // runner's pool — safe to nest inside repetition jobs, see
+    // thread_pool::parallel_for; 1 means serial rounds. Results are
+    // bitwise-identical for any value: a wall-clock knob for large
+    // instances, on top of the repetition-level `--jobs`.
     explicit scenario_runner(std::size_t jobs = 0, std::size_t node_jobs = 1)
-        : pool_(jobs), default_node_jobs_(node_jobs == 0 ? 1 : node_jobs) {}
+        : pool_(jobs), node_jobs_(node_jobs == 0 ? 1 : node_jobs) {}
 
     [[nodiscard]] std::size_t jobs() const noexcept { return pool_.size(); }
 
@@ -89,12 +91,9 @@ public:
 
 private:
     scenario_result prepare(const scenario& s);
-    [[nodiscard]] std::size_t node_jobs_for(const scenario& s) const noexcept {
-        return s.node_jobs != 0 ? s.node_jobs : default_node_jobs_;
-    }
 
     thread_pool pool_;
-    std::size_t default_node_jobs_ = 1;
+    std::size_t node_jobs_ = 1;
     mutable std::mutex mu_;
     // Generated graphs keyed by (family, n, seed); profiles keyed by
     // graph identity (works for both generated and borrowed graphs).

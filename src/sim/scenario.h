@@ -116,12 +116,6 @@ struct scenario {
     algo_config algo;
     std::uint64_t seed = 1;      // repetition r runs with seed + r
     std::size_t repetitions = 1;
-    // Engine-level parallelism: shard every round of this scenario's
-    // engines across this many workers (`--node-jobs` in the benches).
-    // Bitwise-identical results for any value — purely a wall-clock knob
-    // for large instances, on top of the runner's repetition-level
-    // `--jobs`. 0 = the runner's default (serial unless configured).
-    std::size_t node_jobs = 0;
     // Dynamic-network adversary applied every round (sim/dynamics.h).
     // Default-constructed = static network, bitwise-identical to runs
     // from before this field existed.

@@ -1,10 +1,10 @@
 // Tests for the per-round port-rewiring adversary (sim/dynamics.h's
-// slot_layout + apply_port_rewire) and the graph::with_permuted_ports
-// primitive it generalizes: rewiring any subset of nodes preserves the
-// multigraph (degree sequence, physical edge multiset, peer-table
-// involution) and payloads relocated along `moves` stay on their
-// physical directed edge; a full rewire reduces exactly to
-// with_permuted_ports of the same seed.
+// peer_slots / slot_owners + apply_port_rewire) and the
+// graph::with_permuted_ports primitive it generalizes: rewiring any
+// subset of nodes preserves the multigraph (degree sequence, physical
+// edge multiset, peer-table involution) and payloads relocated along
+// `moves` stay on their physical directed edge; a full rewire reduces
+// exactly to with_permuted_ports of the same seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +34,7 @@ std::vector<std::uint32_t> relocate(
 
 // Full structural audit after a rewire: `before` is the pre-rewire peer
 // table, `tag` the relocated per-slot payload initialized to tag[s] = s.
-void expect_rewire_invariants(const slot_layout& layout,
+void expect_rewire_invariants(const std::vector<node_id>& owner,
                               const std::vector<std::uint32_t>& before,
                               const std::vector<std::uint32_t>& after,
                               const std::vector<std::uint32_t>& tag) {
@@ -46,7 +46,7 @@ void expect_rewire_invariants(const slot_layout& layout,
         // The payload that landed in s came from a slot of the same node
         // (a rewire permutes each node's own slot range only)...
         const std::uint32_t origin = tag[s];
-        EXPECT_EQ(layout.owner[s], layout.owner[origin]);
+        EXPECT_EQ(owner[s], owner[origin]);
         // ...and its physical counterpart moved with it: the slot paired
         // with s now holds exactly the payload that was paired with
         // `origin` before. Together these say every physical directed
@@ -64,27 +64,28 @@ std::vector<std::uint32_t> iota_tags(std::size_t slots) {
 
 TEST(SlotLayout, MirrorsGraphPeerTable) {
     const graph g = make_family(graph_family::dumbbell, 20, 3);
-    const slot_layout layout(g);
-    ASSERT_EQ(layout.peer.size(), 2 * g.num_edges());
-    ASSERT_EQ(layout.owner.size(), layout.peer.size());
-    ASSERT_EQ(layout.base.size(), g.num_nodes() + 1);
+    const std::vector<std::uint32_t> peer = peer_slots(g);
+    const std::vector<node_id> owner = slot_owners(g);
+    ASSERT_EQ(peer.size(), 2 * g.num_edges());
+    ASSERT_EQ(owner.size(), peer.size());
+    ASSERT_EQ(g.offset(0), 0u);
     for (node_id u = 0; u < g.num_nodes(); ++u) {
         for (port_id p = 0; p < g.degree(u); ++p) {
-            const auto s = static_cast<std::uint32_t>(layout.base[u] + p);
-            EXPECT_EQ(layout.owner[s], u);
-            EXPECT_EQ(layout.owner[layout.peer[s]], g.neighbor(u, p));
-            EXPECT_EQ(layout.peer[layout.peer[s]], s);
+            const auto s = static_cast<std::uint32_t>(g.offset(u) + p);
+            EXPECT_EQ(owner[s], u);
+            EXPECT_EQ(owner[peer[s]], g.neighbor(u, p));
+            EXPECT_EQ(peer[peer[s]], s);
         }
     }
 }
 
 TEST(PortRewire, EmptyNodeListIsANoOp) {
     const graph g = make_cycle(12);
-    slot_layout layout(g);
-    const std::vector<std::uint32_t> before = layout.peer;
+    std::vector<std::uint32_t> peer = peer_slots(g);
+    const std::vector<std::uint32_t> before = peer;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> moves;
-    apply_port_rewire(layout.base, layout.owner, layout.peer, {}, 99, moves);
-    EXPECT_EQ(layout.peer, before);
+    apply_port_rewire(g, slot_owners(g), peer, {}, 99, moves);
+    EXPECT_EQ(peer, before);
     EXPECT_TRUE(moves.empty());
 }
 
@@ -93,24 +94,26 @@ TEST(PortRewire, SubsetRewirePreservesMultigraph) {
          {graph_family::cycle, graph_family::dumbbell, graph_family::torus,
           graph_family::barbell, graph_family::barabasi_albert}) {
         const graph g = make_family(f, 24, 5);
-        slot_layout layout(g);
-        const std::vector<std::uint32_t> before = layout.peer;
+        const std::vector<node_id> owner = slot_owners(g);
+        std::vector<std::uint32_t> peer = peer_slots(g);
+        const std::vector<std::uint32_t> before = peer;
         // An arbitrary sorted subset: every third node.
         std::vector<node_id> nodes;
         for (node_id u = 0; u < g.num_nodes(); u += 3) nodes.push_back(u);
         std::vector<std::pair<std::uint32_t, std::uint32_t>> moves;
-        apply_port_rewire(layout.base, layout.owner, layout.peer, nodes, 7, moves);
+        apply_port_rewire(g, owner, peer, nodes, 7, moves);
         const auto tag = relocate(iota_tags(before.size()), moves);
-        expect_rewire_invariants(layout, before, layout.peer, tag);
+        expect_rewire_invariants(owner, before, peer, tag);
     }
 }
 
 TEST(PortRewire, RepeatedRewiresStayConsistent) {
     const graph g = make_family(graph_family::connected_caveman, 30, 2);
-    slot_layout layout(g);
-    auto tag = iota_tags(layout.peer.size());
+    const std::vector<node_id> owner = slot_owners(g);
+    std::vector<std::uint32_t> peer = peer_slots(g);
+    auto tag = iota_tags(peer.size());
     for (std::uint64_t round = 0; round < 8; ++round) {
-        const std::vector<std::uint32_t> before = layout.peer;
+        const std::vector<std::uint32_t> before = peer;
         // Alternate between all nodes, singletons and small ranges.
         std::vector<node_id> nodes;
         if (round % 3 == 0) {
@@ -121,16 +124,15 @@ TEST(PortRewire, RepeatedRewiresStayConsistent) {
             nodes = {1, 2, 5, 13};
         }
         std::vector<std::pair<std::uint32_t, std::uint32_t>> moves;
-        apply_port_rewire(layout.base, layout.owner, layout.peer, nodes,
-                          1000 + round, moves);
+        apply_port_rewire(g, owner, peer, nodes, 1000 + round, moves);
         // Fresh tags per step so the invariant audit sees one rewire.
         const auto step_tag = relocate(iota_tags(before.size()), moves);
-        expect_rewire_invariants(layout, before, layout.peer, step_tag);
+        expect_rewire_invariants(owner, before, peer, step_tag);
         tag = relocate(std::move(tag), moves);
     }
     // Across all eight rewires, every slot's payload never left its node.
     for (std::uint32_t s = 0; s < tag.size(); ++s) {
-        EXPECT_EQ(layout.owner[s], layout.owner[tag[s]]);
+        EXPECT_EQ(owner[s], owner[tag[s]]);
     }
 }
 
@@ -138,16 +140,15 @@ TEST(PortRewire, DeterministicInSeed) {
     const graph g = make_family(graph_family::torus, 16, 1);
     std::vector<node_id> all(g.num_nodes());
     std::iota(all.begin(), all.end(), 0);
-    slot_layout a(g), b(g);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> ma, mb;
-    apply_port_rewire(a.base, a.owner, a.peer, all, 4242, ma);
-    apply_port_rewire(b.base, b.owner, b.peer, all, 4242, mb);
-    EXPECT_EQ(a.peer, b.peer);
+    const std::vector<node_id> owner = slot_owners(g);
+    std::vector<std::uint32_t> a = peer_slots(g), b = a, c = a;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ma, mb, mc;
+    apply_port_rewire(g, owner, a, all, 4242, ma);
+    apply_port_rewire(g, owner, b, all, 4242, mb);
+    EXPECT_EQ(a, b);
     EXPECT_EQ(ma, mb);
-    slot_layout c(g);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> mc;
-    apply_port_rewire(c.base, c.owner, c.peer, all, 4243, mc);
-    EXPECT_NE(c.peer, a.peer);
+    apply_port_rewire(g, owner, c, all, 4243, mc);
+    EXPECT_NE(c, a);
 }
 
 // The reduction the dynamics layer is built on: rewiring EVERY node with
@@ -157,13 +158,12 @@ TEST(PortRewire, DeterministicInSeed) {
 TEST(PortRewire, FullRewireEqualsWithPermutedPorts) {
     for (const std::uint64_t seed : {1ull, 77ull, 123456789ull}) {
         const graph g = make_family(graph_family::watts_strogatz, 40, 9);
-        slot_layout layout(g);
+        std::vector<std::uint32_t> peer = peer_slots(g);
         std::vector<node_id> all(g.num_nodes());
         std::iota(all.begin(), all.end(), 0);
         std::vector<std::pair<std::uint32_t, std::uint32_t>> moves;
-        apply_port_rewire(layout.base, layout.owner, layout.peer, all, seed, moves);
-        const slot_layout reference(g.with_permuted_ports(seed));
-        EXPECT_EQ(layout.peer, reference.peer) << "seed " << seed;
+        apply_port_rewire(g, slot_owners(g), peer, all, seed, moves);
+        EXPECT_EQ(peer, peer_slots(g.with_permuted_ports(seed))) << "seed " << seed;
     }
 }
 

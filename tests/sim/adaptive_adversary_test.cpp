@@ -181,6 +181,56 @@ TEST(AdaptiveAdversary, CutChurnKillsBoundaryTrafficOnly) {
     EXPECT_LE(st.cut_losses, 4u * 20);
 }
 
+// Every round each node tells every neighbour its parity and counts the
+// messages it receives from the other parity.
+class parity_node {
+public:
+    using message_type = probe_msg;
+    parity_node(std::size_t degree, std::uint64_t parity)
+        : degree_(degree), parity_(parity) {}
+
+    void on_round(node_ctx<probe_msg>& ctx, inbox_view<probe_msg> inbox) {
+        for (const auto& [port, msg] : inbox) {
+            (void)port;
+            if (msg.value != parity_) ++crossings_;
+        }
+        for (port_id p = 0; p < degree_; ++p) ctx.send(p, probe_msg{parity_});
+    }
+
+    std::uint64_t crossings_ = 0;
+
+private:
+    std::size_t degree_;
+    std::uint64_t parity_;
+};
+
+// Regression: cut_churn must judge a slot's receiver through the peer
+// table as the latest rewire left it. With the odd nodes decided, every
+// cross-parity message is boundary traffic, so intensity 1 kills all of
+// it even while every node's ports are relabeled each round.
+TEST(AdaptiveAdversary, CutChurnJudgesLiveReceiversUnderRewire) {
+    const graph g = make_complete(8);
+    dynamics_spec spec;
+    spec.rewire_period = 1;
+    spec.strategy = adaptive_kind::cut_churn;
+    spec.strategy_intensity = 1.0;
+    engine<parity_node> eng(g, 5);
+    eng.set_dynamics(spec, 5);
+    eng.spawn([&](std::size_t u) {
+        return parity_node(g.degree(static_cast<node_id>(u)), u % 2);
+    });
+    eng.set_status_probe([](std::size_t u) {
+        node_status st;
+        st.decided = u % 2 == 1;
+        return st;
+    });
+    eng.run_rounds(50);
+    std::uint64_t crossings = 0;
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) crossings += eng.node(u).crossings_;
+    EXPECT_EQ(crossings, 0u);
+    EXPECT_GT(eng.dynamics()->stats().cut_losses, 0u);
+}
+
 // --- determinism: adaptivity must not break node-jobs identity ----------------
 
 TEST(AdaptiveAdversary, BitwiseIdenticalAcrossNodeJobs) {

@@ -175,8 +175,9 @@ TEST(DynamicsDeterminism, SingleRewireReducesToWithPermutedPorts) {
     d.seed = 4321;
     const run_digest dynamic = run_dynamic(g, d, 1, 77);
 
+    std::vector<std::uint32_t> peer = peer_slots(g);
     const graph permuted =
-        g.with_permuted_ports(dynamics_state(g, d, 77).rewire_seed(0));
+        g.with_permuted_ports(dynamics_state(g, peer, d, 77).rewire_seed(0));
     engine<scrambler> eng(permuted, 77);
     eng.spawn([&](std::size_t u) {
         return scrambler(permuted.degree(static_cast<node_id>(u)));
@@ -203,9 +204,8 @@ TEST(DynamicsDeterminism, RunnerNodeJobsInvariantUnderDynamics) {
         s.algo = flood_cfg{};
         s.seed = 12;
         s.repetitions = 3;
-        s.node_jobs = node_jobs;
         s.dynamics = storm_spec();
-        scenario_runner runner(2);
+        scenario_runner runner(2, node_jobs);
         return runner.run(s);
     };
     const scenario_result serial = sweep(1);

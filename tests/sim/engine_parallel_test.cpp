@@ -162,7 +162,7 @@ TEST(EngineParallel, StrictBudgetViolationPropagatesFromShards) {
     EXPECT_THROW(eng.run_rounds(1), error);
 }
 
-// End-to-end through the ScenarioRunner: scenario::node_jobs is a pure
+// End-to-end through the ScenarioRunner: its node_jobs is a pure
 // wall-clock knob — run records match the serial ones field for field.
 TEST(EngineParallel, RunnerNodeJobsDoesNotChangeResults) {
     auto sweep = [&](std::size_t node_jobs) {
@@ -171,8 +171,7 @@ TEST(EngineParallel, RunnerNodeJobsDoesNotChangeResults) {
         s.algo = flood_cfg{};
         s.seed = 5;
         s.repetitions = 3;
-        s.node_jobs = node_jobs;
-        scenario_runner runner(2);
+        scenario_runner runner(2, node_jobs);
         return runner.run(s);
     };
     const scenario_result serial = sweep(1);
