@@ -12,9 +12,10 @@
 //      sampling change is isolated);
 //   3. parallel identity — sharded rounds must be bitwise-identical to
 //      serial on every topology family in the zoo;
-//   4. quiet-round fast-forward — the revocable protocol with the engine
-//      skipping quiet rounds vs the same engine stepping every round (its
-//      hooks hidden by always_step), which must end bitwise-identical.
+//   4. quiet-round fast-forward — the revocable and irrevocable protocols
+//      with the engine skipping quiet rounds vs the same engine stepping
+//      every round (hooks hidden by always_step), which must end
+//      bitwise-identical.
 //
 // Output follows the BENCH_*.json trajectory schema (docs/BENCHMARKS.md);
 // the committed baseline lives at BENCH_ENGINE.json in the repo root and
@@ -34,15 +35,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bench/gate.h"
+#include "core/irrevocable.h"
 #include "core/random_walk.h"
 #include "core/revocable.h"
 #include "graph/generators.h"
 #include "sim/engine.h"
+#include "sim/runner.h"
 #include "util/table.h"
 
 namespace anole {
@@ -298,37 +300,74 @@ bool parallel_identical(graph_family f, std::size_t n, std::uint64_t seed) {
            a.totals.bits == b.totals.bits;
 }
 
-// Engine-side result of a revocable run: everything the fast-forward must
-// reproduce bit for bit.
-struct revocable_state {
+// Engine-side result of a hook protocol's run: everything the fast-forward
+// must reproduce bit for bit.
+struct ff_state {
     std::uint64_t round = 0;
     phase_counters totals;
-    std::vector<std::uint64_t> nodes;  // per node: estimate, id, view, revocations
+    std::vector<std::uint64_t> nodes;  // per-node observer digests
 
-    bool operator==(const revocable_state&) const = default;
+    bool operator==(const ff_state&) const = default;
 };
 
-template <class Node>
-revocable_state run_revocable_rounds(const graph& g, const revocable_params& p,
-                                     std::uint64_t seed, std::uint64_t rounds,
-                                     double* seconds) {
+template <class P>
+const P& unwrap(const P& nd) {
+    return nd;
+}
+template <class P>
+const P& unwrap(const always_step<P>& nd) {
+    return nd.inner();
+}
+
+void append_digest(std::vector<std::uint64_t>& out, const revocable_node& nd) {
+    out.insert(out.end(), {nd.estimate(), nd.id(), nd.leader_id(), nd.leader_certificate(),
+                           nd.revocations()});
+}
+
+void append_digest(std::vector<std::uint64_t>& out, const irrevocable_node& nd) {
+    out.insert(out.end(), {nd.id(), nd.is_candidate() ? 1u : 0u, nd.is_leader() ? 1u : 0u,
+                           nd.status().decided ? 1u : 0u});
+    for (const auto& [exec_id, e] : nd.executions()) {
+        out.insert(out.end(), {exec_id, e.in_tree() ? 1u : 0u,
+                               e.parent() ? *e.parent() + 1u : 0u, e.confirmed()});
+    }
+}
+
+// Runs `rounds` rounds of Node(degree, params) — the hook protocol itself,
+// or always_step<> around it to step every round.
+template <class Node, class Params>
+ff_state run_hook_rounds(const graph& g, const Params& p, std::uint64_t seed,
+                         congest_budget budget, std::uint64_t rounds, double* seconds) {
     const auto t0 = std::chrono::steady_clock::now();
-    engine<Node> eng(g, seed, congest_budget::fragmenting(16));
+    engine<Node> eng(g, seed, budget);
     eng.spawn([&](std::size_t u) { return Node(g.degree(static_cast<node_id>(u)), p); });
     eng.run_rounds(rounds);
     *seconds = seconds_since(t0);
-    revocable_state st{eng.round(), eng.metrics().total(), {}};
+    ff_state st{eng.round(), eng.metrics().total(), {}};
     for (std::size_t u = 0; u < g.num_nodes(); ++u) {
-        const revocable_node* nd = nullptr;
-        if constexpr (std::is_same_v<Node, revocable_node>) {
-            nd = &eng.node(u);
-        } else {
-            nd = &eng.node(u).inner();
-        }
-        st.nodes.insert(st.nodes.end(), {nd->estimate(), nd->id(), nd->leader_id(),
-                                         nd->leader_certificate(), nd->revocations()});
+        append_digest(st.nodes, unwrap(eng.node(u)));
     }
     return st;
+}
+
+// One fast-forward table row: a stepped run, then the best of five
+// skipping runs. Returns whether every skipping run matched the stepped one.
+template <class Node, class Params>
+bool ff_row(text_table& t, const std::string& name, const graph& g, const Params& params,
+            congest_budget budget, std::uint64_t seed, std::uint64_t rounds) {
+    double stepped_s = 0;
+    const ff_state stepped =
+        run_hook_rounds<always_step<Node>>(g, params, seed, budget, rounds, &stepped_s);
+    double fast_s = 1e300;
+    bool same = true;
+    for (int rep = 0; rep < 5; ++rep) {
+        double s = 0;
+        same = same && run_hook_rounds<Node>(g, params, seed, budget, rounds, &s) == stepped;
+        fast_s = std::min(fast_s, s);
+    }
+    t.add_row({name, fmt_count(rounds), fmt_fixed(stepped_s, 3), fmt_fixed(fast_s, 4),
+               fmt_ratio(stepped_s / fast_s), same ? "yes" : "NO"});
+    return same;
 }
 
 int run(const bench::gate_options& opt) {
@@ -429,21 +468,19 @@ int run(const bench::gate_options& opt) {
     for (auto& c : ff) {
         std::uint64_t rounds = run_revocable(c.g, rp, 18).rounds;
         if (opt.quick) rounds /= 10;
-        double stepped_s = 0;
-        const revocable_state stepped = run_revocable_rounds<always_step<revocable_node>>(
-            c.g, rp, 18, rounds, &stepped_s);
-        double fast_s = 1e300;
-        bool same = true;
-        for (int rep = 0; rep < 5; ++rep) {
-            double s = 0;
-            same = same &&
-                   run_revocable_rounds<revocable_node>(c.g, rp, 18, rounds, &s) == stepped;
-            fast_s = std::min(fast_s, s);
-        }
-        ff_identical = ff_identical && same;
-        t4.add_row({c.name, fmt_count(rounds), fmt_fixed(stepped_s, 3),
-                    fmt_fixed(fast_s, 4), fmt_ratio(stepped_s / fast_s),
-                    same ? "yes" : "NO"});
+        ff_identical &= ff_row<revocable_node>(t4, c.name, c.g, rp,
+                                               congest_budget::fragmenting(16), 18, rounds);
+    }
+    // elect-known-n's irrevocable units (bench_e2e): profile-filled
+    // parameters and run_irrevocable's strict budget, through the decide round.
+    scenario_runner runner(1);
+    for (const graph_family f : {graph_family::hypercube, graph_family::torus}) {
+        const graph& g = runner.materialize(family_spec{f, 128, 1});
+        const irrevocable_params ip =
+            scenario_runner::fill(irrevocable_params{}, runner.profile_for(g));
+        ff_identical &= ff_row<irrevocable_node>(
+            t4, "irrevocable " + std::string(to_string(f)) + "(128)", g, ip,
+            congest_budget::strict_log(16), 1, ip.total_rounds() + 1);
     }
     gate.emit("quiet-round fast-forward", t4);
     if (!ff_identical) {

@@ -97,6 +97,23 @@ void cb_exec::upsert_child(port_id p, std::uint64_t sz, bool reporter) {
     }
 }
 
+bool cb_exec::idle(const cb_config& cfg) const noexcept {
+    // Literal mode reports every round.
+    if (cfg.report_every_round || !pending_.empty()) return false;
+    if (!in_tree_) return true;
+    if (adopted_this_round_ || got_activate_ || got_deactivate_ || got_child_update_ ||
+        !reporters_.empty()) {
+        return false;
+    }
+    if (status_ == cb_status::stopped) {
+        return stop_told_ && std::all_of(child_stop_told_.begin(), child_stop_told_.end(),
+                                         [](char told) { return told != 0; });
+    }
+    // Pending cap stop or threshold crossing, or an extension to make.
+    if (confirmed_ >= cfg.cap || (cfg.throttle && confirmed_ > report_next_)) return false;
+    return status_ != cb_status::active || used_.size() >= degree_;
+}
+
 std::optional<port_id> cb_exec::random_avail_port(xoshiro256ss& rng) {
     if (used_.size() >= degree_) return std::nullopt;
     // Rejection sampling against the sorted used_ list; expected O(1)

@@ -114,6 +114,12 @@ public:
         transmit(cfg, rng, std::forward<Send>(send));
     }
 
+    // True when a step() with no new receptions would send nothing, draw
+    // no RNG and change no state (the engine's quiet-round fast-forward
+    // relies on it). random_avail_port is the only RNG draw and it draws
+    // only when it returns a port, so a draw always comes with a send.
+    [[nodiscard]] bool idle(const cb_config& cfg) const noexcept;
+
     // --- observers (harness/tests) ---
     [[nodiscard]] bool in_tree() const noexcept { return in_tree_; }
     [[nodiscard]] bool is_root() const noexcept { return is_root_; }
@@ -228,6 +234,8 @@ public:
           rounds_(logical_rounds) {}
 
     void on_round(node_ctx<cb_msg>& ctx, inbox_view<cb_msg> inbox) {
+        next_ = ctx.round() + 1;
+        quiet_ = false;
         for (const auto& [port, msg] : inbox) exec_.receive(port, msg.kind, msg.value);
         if (ctx.round() >= rounds_) {
             ctx.halt();
@@ -236,7 +244,17 @@ public:
         exec_.step(cfg_, ctx.rng(), [&ctx](port_id p, cb_kind k, std::uint64_t v) {
             ctx.send(p, cb_msg{k, v});
         });
+        quiet_ = ctx.sent() == 0;
     }
+
+    // --- quiet-round fast-forward hooks (sim/engine.h) ---
+    // After a silent round an idle exec stays idle until the halt round.
+    [[nodiscard]] std::uint64_t quiet_horizon() const noexcept {
+        if (!quiet_ || next_ >= rounds_ || !exec_.idle(cfg_)) return 0;
+        return rounds_ - next_;
+    }
+    [[nodiscard]] bit_charge quiet_charge() const noexcept { return {}; }
+    void fast_forward(std::uint64_t rounds) noexcept { next_ += rounds; }
 
     [[nodiscard]] const cb_exec& exec() const noexcept { return exec_; }
     // Broadcast elects nobody: `leader` stays false.
@@ -250,6 +268,8 @@ private:
     cb_exec exec_;
     cb_config cfg_;
     std::uint64_t rounds_;
+    std::uint64_t next_ = 0;  // the round of the next on_round
+    bool quiet_ = false;      // the last round sent nothing
 };
 
 // --- experiment driver -------------------------------------------------------

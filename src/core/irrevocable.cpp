@@ -19,6 +19,7 @@ void irrevocable_node::on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox)
     if (!inited_) init(ctx);
 
     const std::uint64_t r = ctx.round();
+    next_ = r + 1;
     if (r < p_->bc_end()) {
         broadcast_round(ctx, inbox);
     } else if (r < p_->walk_end()) {
@@ -33,6 +34,27 @@ void irrevocable_node::on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox)
         }
         decide(ctx);
     }
+    quiet_ = ctx.sent() == 0;
+}
+
+std::uint64_t irrevocable_node::quiet_horizon() const noexcept {
+    if (!quiet_) return 0;
+    if (next_ < p_->bc_end()) {
+        // Nothing is in flight, so a slot acts only if its execution is
+        // not idle; slots past the capacity are never stepped.
+        const std::uint64_t width = p_->super_round();
+        const std::uint64_t at = next_ % width;
+        std::uint64_t horizon = p_->bc_end() - next_;
+        const std::size_t stepped = std::min<std::uint64_t>(slots_.size(), width);
+        for (std::size_t slot = 0; slot < stepped; ++slot) {
+            const auto it = execs_.find(slots_[slot]);
+            if (it == execs_.end() || it->second.idle(cfg_)) continue;
+            horizon = std::min(horizon, (slot + width - at) % width);
+        }
+        return horizon;
+    }
+    if (cc_ready_ && next_ < p_->total_rounds()) return p_->total_rounds() - next_;
+    return 0;
 }
 
 void irrevocable_node::init(node_ctx<ir_msg>& ctx) {
@@ -73,10 +95,7 @@ void irrevocable_node::broadcast_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg>
     auto it = execs_.find(exec_id);
     if (it == execs_.end()) return;
 
-    cb_config cfg;
-    cfg.cap = p_->territory_cap();
-    cfg.throttle = p_->cautious_throttle;
-    it->second.step(cfg, ctx.rng(),
+    it->second.step(cfg_, ctx.rng(),
                     [&ctx, exec_id](port_id p, cb_kind k, std::uint64_t v) {
                         ctx.send(p, ir_msg{to_ir_kind(k), exec_id, v});
                     });
@@ -93,12 +112,9 @@ void irrevocable_node::walk_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbo
             // so tree state (parents are what convergecast needs) is
             // complete. The execution emits nothing further.
             if (msg.k <= ir_msg::kind::cb_refresh) {
-                cb_config cfg;
-                cfg.cap = p_->territory_cap();
-                cfg.throttle = p_->cautious_throttle;
                 cb_exec& e = exec_for(msg.exec);
                 e.receive(port, to_cb_kind(msg.k), msg.value);
-                e.step(cfg, ctx.rng(), [](port_id, cb_kind, std::uint64_t) {});
+                e.step(cfg_, ctx.rng(), [](port_id, cb_kind, std::uint64_t) {});
             }
             continue;
         }

@@ -88,9 +88,20 @@ public:
     using message_type = ir_msg;
 
     irrevocable_node(std::size_t degree, const irrevocable_params& params)
-        : degree_(degree), p_(&params) {}
+        : degree_(degree),
+          p_(&params),
+          cfg_{.cap = params.territory_cap(), .throttle = params.cautious_throttle} {}
 
     void on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox);
+
+    // --- quiet-round fast-forward hooks (sim/engine.h) ---
+    // Nonzero only after a round that sent nothing: in the broadcast phase
+    // it counts the rounds until the next slot whose execution is not
+    // idle, in the convergecast phase (change-triggered sends) it runs to
+    // the decide round; walks draw RNG, so the walk phase never skips.
+    [[nodiscard]] std::uint64_t quiet_horizon() const noexcept;
+    [[nodiscard]] bit_charge quiet_charge() const noexcept { return {}; }
+    void fast_forward(std::uint64_t rounds) noexcept { next_ += rounds; }
 
     // --- observers ---
     [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
@@ -123,7 +134,10 @@ private:
 
     std::size_t degree_;
     const irrevocable_params* p_;
+    cb_config cfg_;  // every execution's cautious-broadcast config
 
+    std::uint64_t next_ = 0;  // the round of the next on_round
+    bool quiet_ = false;      // the last round sent nothing
     bool inited_ = false;
     bool candidate_ = false;
     std::uint64_t id_ = 0;

@@ -92,15 +92,21 @@
 // In a plain round the node must send the same ports as in the round
 // before, with payloads that are a function of its observable state only
 // (bit sizes may grow linearly: every message of skipped round i, 0-based,
-// costs base + i·slope bits). fast_forward(s) advances the node's round
-// counters as s plain rounds would.
+// costs base + i·slope bits). A node that sent nothing stays silent, so
+// the charge is per live out-slot, not per port: a node pays for the
+// ports it sent on in the last stepped round, and a silent node pays
+// nothing. fast_forward(s) advances the node's round counters as s plain
+// rounds would.
 //
 // Why a skip is exact: if no node changed in plain round R and round R+1
 // is also plain for every node, each node receives in R+1 exactly the
 // payloads it received in R and applies the same deterministic update, so
-// again nothing changes — by induction up to the smallest horizon. The
-// engine then charges messages, bits and congest_rounds for the skipped
-// rounds as stepping would, restamps the live slots and advances round().
+// again nothing changes — by induction up to the smallest horizon. Silent
+// rounds are the special case with nothing in flight: every inbox stays
+// empty, and a node whose step on an empty inbox is a no-op stays as it
+// is. The engine then charges messages, bits and congest_rounds for the
+// skipped rounds as stepping would (a silent round costs one congest
+// round and nothing else), restamps the live slots and advances round().
 // It skips only on a static network (no dynamics, which also covers trace
 // record/replay, adaptive strategies, churn and sleep), after round 0,
 // with no node halted, and with equal slopes; the skip never crosses a
@@ -364,6 +370,9 @@ public:
         out_msg_[p] = std::move(m);
     }
 
+    // Messages this node has sent so far this round.
+    [[nodiscard]] std::uint64_t sent() const noexcept { return messages_; }
+
     // Marks this node permanently finished; it is never stepped again.
     void halt() noexcept { halted_flag_ = true; }
     [[nodiscard]] bool halted() const noexcept { return halted_flag_; }
@@ -589,23 +598,30 @@ private:
             }
             if (s == 0) return 0;
 
-            // Round i's largest message is max_base + i·slope bits, sent
-            // by every node: per-node bases, one common slope.
+            // A plain round resends the ports of the round before, so each
+            // node is charged for its live out-slots. Round i's largest
+            // message is max_base + i·slope bits: per-node bases, one
+            // common slope.
             using u128 = unsigned __int128;
+            const auto mark = static_cast<std::uint32_t>(round_ + 1);
             const std::uint64_t slope = procs_[0].quiet_charge().slope;
             std::uint64_t max_base = 0;
-            std::uint64_t deg_sum = 0;
-            u128 deg_base_sum = 0;
+            std::uint64_t sent_sum = 0;
+            u128 sent_base_sum = 0;
             for (node_id u = 0; u < n; ++u) {
                 const bit_charge c = procs_[u].quiet_charge();
                 if (c.slope != slope) return 0;
-                const std::size_t deg = g_.degree(u);
-                if (deg == 0) continue;
+                const std::size_t base = g_.offset(u);
+                std::uint64_t sent = 0;
+                for (std::size_t i = base; i < base + g_.degree(u); ++i) {
+                    sent += cur_stamp_[i] == mark ? 1 : 0;
+                }
+                if (sent == 0) continue;
                 max_base = std::max(max_base, c.base);
-                deg_sum += deg;
-                deg_base_sum += static_cast<u128>(deg) * c.base;
+                sent_sum += sent;
+                sent_base_sum += static_cast<u128>(sent) * c.base;
             }
-            const bool sends = deg_sum > 0;
+            const bool sends = sent_sum > 0;
             const std::uint64_t budget = budget_bits_;
             if (sends && budget_.mode == budget_mode::strict) {
                 // Stop before the first round a message would throw.
@@ -620,13 +636,12 @@ private:
                 if (max_base == 0) congest += slope == 0 ? s : 1;
             }
             const u128 ss = s;
-            const u128 bits =
-                ss * deg_base_sum + static_cast<u128>(slope) * (ss * (ss - 1) / 2) * deg_sum;
-            metrics_.count_messages(static_cast<std::uint64_t>(ss * deg_sum),
+            const u128 bits = ss * sent_base_sum +
+                              static_cast<u128>(slope) * (ss * (ss - 1) / 2) * sent_sum;
+            metrics_.count_messages(static_cast<std::uint64_t>(ss * sent_sum),
                                     static_cast<std::uint64_t>(bits));
             metrics_.count_rounds(s, static_cast<std::uint64_t>(congest));
 
-            const auto mark = static_cast<std::uint32_t>(round_ + 1);
             const auto next_mark = static_cast<std::uint32_t>(round_ + 1 + s);
             for (std::uint32_t& stamp : cur_stamp_) {
                 if (stamp == mark) stamp = next_mark;

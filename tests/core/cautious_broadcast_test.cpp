@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -199,6 +201,61 @@ TEST(CautiousBroadcast, RootConfirmedTracksTerritory) {
     const std::uint64_t confirmed = eng->node(0).exec().confirmed();
     EXPECT_LE(confirmed, t);
     EXPECT_GE(2 * confirmed + 2, t);  // doubling reports lag at most 2x
+}
+
+// What the engine's fast-forward trusts: whenever cb_exec::idle holds, a
+// step with no new receptions sends nothing, draws no RNG and leaves every
+// observer as it was. Checked for every node after every stepped round.
+TEST(CautiousBroadcast, IdleExecStepsAsANoOp) {
+    const auto observe = [](const cb_exec& e) {
+        std::vector<std::uint64_t> out = {e.in_tree(), e.is_root(),
+                                          static_cast<std::uint64_t>(e.status()),
+                                          e.source_id(), e.parent().value_or(99),
+                                          e.confirmed(), e.report_threshold()};
+        out.insert(out.end(), e.children().begin(), e.children().end());
+        return out;
+    };
+    cb_config capped;
+    capped.cap = 6;
+    cb_config literal;
+    literal.report_every_round = true;
+    cb_config flood;
+    flood.extend_all = true;
+    flood.throttle = false;
+    for (const cb_config& cfg : {cb_config{}, capped, literal, flood}) {
+        for (const graph_family f : {graph_family::torus, graph_family::barabasi_albert,
+                                     graph_family::path}) {
+            SCOPED_TRACE(std::string(to_string(f)) + ", cap " + std::to_string(cfg.cap));
+            const graph g = make_family(f, 24, 2);
+            engine<cautious_broadcast_node> eng(g, 3, congest_budget::strict_log(16));
+            eng.spawn([&](std::size_t u) {
+                return cautious_broadcast_node(g.degree(static_cast<node_id>(u)), u == 0,
+                                               77, cfg, 80);
+            });
+            std::size_t idle_seen = 0;
+            for (int r = 0; r < 80; ++r) {
+                eng.step();
+                for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+                    const cb_exec& e = eng.node(u).exec();
+                    if (!e.idle(cfg)) continue;
+                    ++idle_seen;
+                    cb_exec copy = e;
+                    xoshiro256ss rng(u + 1), untouched(u + 1);
+                    bool sent = false;
+                    copy.step(cfg, rng,
+                              [&sent](port_id, cb_kind, std::uint64_t) { sent = true; });
+                    EXPECT_FALSE(sent) << "node " << u << " round " << r;
+                    EXPECT_EQ(rng(), untouched()) << "node " << u << " round " << r;
+                    EXPECT_EQ(observe(copy), observe(e)) << "node " << u << " round " << r;
+                }
+            }
+            if (cfg.report_every_round) {
+                EXPECT_EQ(idle_seen, 0u);
+            } else {
+                EXPECT_GT(idle_seen, 0u);
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -17,15 +17,21 @@
 #include <utility>
 #include <vector>
 
+#include "core/cautious_broadcast.h"
+#include "core/irrevocable.h"
 #include "core/revocable.h"
 #include "graph/generators.h"
+#include "graph/spectral.h"
 #include "sim/engine.h"
+#include "sim/thread_pool.h"
 #include "util/rng.h"
 
 namespace anole {
 namespace {
 
 static_assert(quiet_hooks<revocable_node>);
+static_assert(quiet_hooks<irrevocable_node>);
+static_assert(quiet_hooks<cautious_broadcast_node>);
 static_assert(!quiet_hooks<always_step<revocable_node>>);
 
 revocable_params scaled_params() {
@@ -336,6 +342,248 @@ TEST(FastForward, ToyProtocolMatchesSteppingUnderEveryBudget) {
         EXPECT_EQ(threw, c.budget.mode == budget_mode::strict);
         EXPECT_GT(fast.skipped_rounds(), 0u);
     }
+}
+
+// --- engine level: the charge follows the ports actually sent on --------------
+
+// Flood-max over port 0 only: every `period` rounds a node adds an RNG
+// draw to its value and sends it on every port (a boundary round); in the
+// plain rounds between, a talkative node resends its value on port 0 and
+// a silent one sends nothing. A skip that charged every port of every
+// node would overcount both.
+class port0_max {
+public:
+    using message_type = max_msg;
+
+    port0_max(std::size_t degree, bool talkative, std::uint64_t period, std::uint64_t head,
+              std::uint64_t slope)
+        : degree_(degree), talkative_(talkative), period_(period), head_(head),
+          slope_(slope) {}
+
+    void on_round(node_ctx<max_msg>& ctx, inbox_view<max_msg> inbox) {
+        quiet_ = false;
+        const std::uint64_t before = value_;
+        for (const auto& [port, m] : inbox) {
+            (void)port;
+            value_ = std::max(value_, m.value);
+        }
+        if (counter_ >= period_) {
+            value_ += ctx.rng().below(1'000);
+            counter_ = 0;
+            for (port_id p = 0; p < degree_; ++p) ctx.send(p, max_msg{value_, head_});
+        } else {
+            // The round after a boundary sends fewer ports than the
+            // boundary did, so it is not plain.
+            quiet_ = value_ == before && counter_ > 1;
+            if (talkative_) ctx.send(0, max_msg{value_, head_ + counter_ * slope_});
+        }
+        ++counter_;
+    }
+
+    [[nodiscard]] std::uint64_t quiet_horizon() const noexcept {
+        return quiet_ ? period_ - counter_ : 0;
+    }
+    [[nodiscard]] bit_charge quiet_charge() const noexcept {
+        return {head_ + counter_ * slope_, slope_};
+    }
+    void fast_forward(std::uint64_t rounds) noexcept { counter_ += rounds; }
+
+    [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+
+private:
+    std::size_t degree_;
+    bool talkative_;
+    std::uint64_t period_, head_, slope_;
+    std::uint64_t counter_ = 0, value_ = 0;
+    bool quiet_ = false;
+};
+
+// Runs k rounds; true if the engine threw (a strict-budget violation).
+template <class Engine>
+bool run_throws(Engine& eng, std::uint64_t k) {
+    try {
+        eng.run_rounds(k);
+    } catch (const error&) {
+        return true;
+    }
+    return false;
+}
+
+TEST(FastForward, ChargesOnlyThePortsSentOn) {
+    const graph g = make_family(graph_family::barabasi_albert, 12, 1);
+    congest_budget fragment = congest_budget::fragmenting();
+    fragment.bits_per_round = 16;
+    congest_budget strict = congest_budget::strict_log();
+    strict.bits_per_round = 700;  // outgrown 692 rounds into a period
+    for (const congest_budget& budget : {congest_budget::unlimited(), fragment, strict}) {
+        SCOPED_TRACE("budget mode " + std::to_string(static_cast<int>(budget.mode)));
+        engine<port0_max> fast(g, 5, budget);
+        engine<always_step<port0_max>> stepped(g, 5, budget);
+        const auto make = [&](std::size_t u) {
+            return port0_max(g.degree(static_cast<node_id>(u)), u % 3 != 0, 1'000, 8, 1);
+        };
+        fast.spawn(make);
+        stepped.spawn([&](std::size_t u) { return always_step<port0_max>(make(u)); });
+        xoshiro256ss chunks(11);
+        bool threw = false;
+        for (std::uint64_t done = 0; done < 20'000 && !threw;) {
+            const std::uint64_t k = 1 + chunks.below(900);
+            threw = run_throws(fast, k);
+            EXPECT_EQ(threw, run_throws(stepped, k));
+            done += k;
+            ASSERT_EQ(fast.round(), stepped.round());
+            ASSERT_EQ(fast.metrics().total(), stepped.metrics().total());
+            for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+                ASSERT_EQ(fast.node(u).value(), stepped.node(u).inner().value()) << u;
+            }
+        }
+        EXPECT_EQ(threw, budget.mode == budget_mode::strict);
+        EXPECT_GT(fast.skipped_rounds(), 0u);
+    }
+}
+
+// --- every hook protocol against its stepping twin ---------------------------
+
+// Per protocol: how to build one instance per node of a graph, how many
+// rounds a twin run covers, and a digest of everything its observers show.
+template <class P>
+struct hook_protocol;
+
+template <>
+struct hook_protocol<revocable_node> {
+    explicit hook_protocol(const graph&) : params(scaled_params()) {}
+    [[nodiscard]] revocable_node make(const graph& g, std::size_t u) const {
+        return revocable_node(g.degree(static_cast<node_id>(u)), params);
+    }
+    [[nodiscard]] std::uint64_t rounds() const { return 4'000; }
+    [[nodiscard]] static node_digest digest(const revocable_node& nd) {
+        return anole::digest(nd);
+    }
+    revocable_params params;
+};
+
+void append_exec(std::vector<std::uint64_t>& out, const cb_exec& e) {
+    out.insert(out.end(), {e.in_tree() ? 1u : 0u, e.is_root() ? 1u : 0u,
+                           static_cast<std::uint64_t>(e.status()), e.source_id(),
+                           e.parent() ? *e.parent() + 1u : 0u, e.confirmed(),
+                           e.report_threshold(), e.children().size()});
+    out.insert(out.end(), e.children().begin(), e.children().end());
+}
+
+template <>
+struct hook_protocol<irrevocable_node> {
+    explicit hook_protocol(const graph& g) {
+        const graph_profile prof = profile(g, 1);
+        params.n = g.num_nodes();
+        params.tmix = std::max<std::uint64_t>(prof.mixing_time, 1);
+        params.phi = prof.conductance;
+    }
+    [[nodiscard]] irrevocable_node make(const graph& g, std::size_t u) const {
+        return irrevocable_node(g.degree(static_cast<node_id>(u)), params);
+    }
+    // Ends right after the decide round, so a skip that swallowed it shows.
+    [[nodiscard]] std::uint64_t rounds() const { return params.total_rounds() + 1; }
+    [[nodiscard]] static std::vector<std::uint64_t> digest(const irrevocable_node& nd) {
+        const node_status st = nd.status();
+        std::vector<std::uint64_t> out = {nd.is_candidate() ? 1u : 0u, nd.id(),
+                                          st.decided ? 1u : 0u, st.leader ? 1u : 0u,
+                                          nd.slot_overflows()};
+        for (const auto& [exec_id, e] : nd.executions()) {
+            out.push_back(exec_id);
+            append_exec(out, e);
+        }
+        return out;
+    }
+    irrevocable_params params;
+};
+
+// One source with a small cap, so stop waves run too.
+template <>
+struct hook_protocol<cautious_broadcast_node> {
+    explicit hook_protocol(const graph& g) : cfg{.cap = 2 + g.num_nodes() / 3} {}
+    [[nodiscard]] cautious_broadcast_node make(const graph& g, std::size_t u) const {
+        return cautious_broadcast_node(g.degree(static_cast<node_id>(u)), u == 0, 12345,
+                                       cfg, 600);
+    }
+    // Ends right after the halt round.
+    [[nodiscard]] std::uint64_t rounds() const { return 601; }
+    [[nodiscard]] static std::vector<std::uint64_t> digest(
+        const cautious_broadcast_node& nd) {
+        std::vector<std::uint64_t> out = {nd.status().decided ? 1u : 0u};
+        append_exec(out, nd.exec());
+        return out;
+    }
+    cb_config cfg;
+};
+
+template <class P>
+class FastForwardTwin : public ::testing::Test {
+protected:
+    // Runs every family at n = 16 through a skipping engine and its
+    // stepping twin in pseudo-random chunks, so most chunks end inside a
+    // quiet run, and compares the two after each chunk (and after a
+    // strict-budget throw, which both must hit in the same round). The
+    // last chunk ends exactly at the protocol's run length.
+    static void expect_identical(congest_budget budget) {
+        thread_pool pool(4);
+        std::uint64_t skipped = 0;
+        for (const graph_family f : all_families()) {
+            const graph g = make_family(f, 16, 3);
+            const hook_protocol<P> proto(g);
+            for (const std::size_t node_jobs : {1, 4}) {
+                SCOPED_TRACE(std::string(to_string(f)) + ", node_jobs " +
+                             std::to_string(node_jobs));
+                engine<P> fast(g, 7, budget);
+                engine<always_step<P>> stepped(g, 7, budget);
+                fast.set_parallelism(&pool, node_jobs);
+                stepped.set_parallelism(&pool, node_jobs);
+                fast.spawn([&](std::size_t u) { return proto.make(g, u); });
+                stepped.spawn(
+                    [&](std::size_t u) { return always_step<P>(proto.make(g, u)); });
+                xoshiro256ss chunks(static_cast<std::uint64_t>(f) + 1);
+                bool threw = false;
+                for (std::uint64_t chunk = 0; !threw && fast.round() < proto.rounds();
+                     ++chunk) {
+                    const std::uint64_t k =
+                        std::min(1 + chunks.below(fast.round() < 200 ? 20 : 400),
+                                 proto.rounds() - fast.round());
+                    const std::string phase = "chunk" + std::to_string(chunk % 3);
+                    fast.set_phase(phase);
+                    stepped.set_phase(phase);
+                    threw = run_throws(fast, k);
+                    EXPECT_EQ(threw, run_throws(stepped, k));
+                    ASSERT_EQ(fast.round(), stepped.round());
+                    ASSERT_EQ(fast.halted_count(), stepped.halted_count());
+                    ASSERT_EQ(fast.metrics().total(), stepped.metrics().total());
+                    ASSERT_EQ(fast.metrics().phases(), stepped.metrics().phases());
+                    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+                        ASSERT_EQ(hook_protocol<P>::digest(fast.node(u)),
+                                  hook_protocol<P>::digest(stepped.node(u).inner()))
+                            << "node " << u << " after round " << fast.round();
+                    }
+                }
+                EXPECT_EQ(stepped.skipped_rounds(), 0u);
+                skipped += fast.skipped_rounds();
+            }
+        }
+        EXPECT_GT(skipped, 0u);
+    }
+};
+
+using hook_protocols =
+    ::testing::Types<revocable_node, irrevocable_node, cautious_broadcast_node>;
+TYPED_TEST_SUITE(FastForwardTwin, hook_protocols);
+
+TYPED_TEST(FastForwardTwin, CountOnly) {
+    TestFixture::expect_identical(congest_budget::unlimited());
+}
+
+TYPED_TEST(FastForwardTwin, StrictLog16) {
+    TestFixture::expect_identical(congest_budget::strict_log(16));
+}
+
+TYPED_TEST(FastForwardTwin, Fragmenting) {
+    TestFixture::expect_identical(congest_budget::fragmenting(16));
 }
 
 // --- the closed-form fragmentation charge ------------------------------------
