@@ -22,6 +22,10 @@
 //      isoperimetric_exact against frozen replicas of the loops they
 //      replaced (one queue BFS per source; a from-scratch tally of every
 //      cut mask, run once per measure), with a bitwise-equality column.
+//   5. layout — the multilevel force_layout against a frozen replica of
+//      the single-level pass it replaced (100/50/30 Barnes–Hut
+//      iterations from a random start), with layout_stress for both and a
+//      "quality ok" column: new stress <= 1.05 x replica stress.
 //
 // The committed baseline lives at BENCH_PROFILE.json in the repo root;
 // CI regenerates and gates against it through bench/gate.h, like
@@ -44,6 +48,7 @@
 #include "bench/gate.h"
 #include "graph/generators.h"
 #include "graph/lanczos.h"
+#include "graph/layout.h"
 #include "graph/properties.h"
 #include "graph/spectral.h"
 #include "sim/thread_pool.h"
@@ -282,6 +287,79 @@ double legacy_isoperimetric_exact(const graph& g) {
     return best;
 }
 
+// --- legacy force layout -----------------------------------------------------
+//
+// The single-level force_layout the multilevel one replaced: seeded
+// random start, then 100 (n <= 2048), 50 (n <= 32768) or 30 Fruchterman–
+// Reingold iterations on the whole graph, Barnes–Hut repulsion, linear
+// cooling from 0.1, 256-node blocks sharded over the pool.
+
+std::vector<layout_point> legacy_force_layout(const graph& g, std::uint64_t seed,
+                                              thread_pool* pool) {
+    constexpr std::uint64_t kLayoutTag = 0x6c61796f75743264ULL;  // "layout2d"
+    const std::size_t n = g.num_nodes();
+    std::vector<layout_point> pts(n);
+    for (std::size_t u = 0; u < n; ++u) {
+        xoshiro256ss rng(derive_seed(seed, u, kLayoutTag));
+        pts[u] = {rng.uniform01(), rng.uniform01()};
+    }
+    const double k = std::sqrt(1.0 / static_cast<double>(n));
+    const std::size_t iters = n <= 2048 ? 100 : n <= 32768 ? 50 : 30;
+    std::vector<layout_point> disp(n);
+    bh_quadtree tree;
+    constexpr std::size_t kBlock = 256;
+    const std::size_t blocks = (n + kBlock - 1) / kBlock;
+    for (std::size_t it = 0; it < iters; ++it) {
+        tree.build(pts);
+        const double t =
+            std::max(0.1 * (1.0 - static_cast<double>(it) / static_cast<double>(iters)),
+                     1e-3);
+        const auto do_block = [&](std::size_t b) {
+            std::vector<std::int32_t> scratch;
+            scratch.reserve(128);
+            const std::size_t lo = b * kBlock, hi = std::min(lo + kBlock, n);
+            for (std::size_t u = lo; u < hi; ++u) {
+                layout_point f = tree.repulsion(pts[u], u, k, 0.85, scratch);
+                for (const node_id v : g.neighbors(static_cast<node_id>(u))) {
+                    const double dx = pts[u].x - pts[v].x;
+                    const double dy = pts[u].y - pts[v].y;
+                    const double d = std::sqrt(dx * dx + dy * dy);
+                    f.x -= dx * d / k;
+                    f.y -= dy * d / k;
+                }
+                const double len = std::sqrt(f.x * f.x + f.y * f.y);
+                if (len > t) {
+                    f.x *= t / len;
+                    f.y *= t / len;
+                }
+                disp[u] = f;
+            }
+        };
+        if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+            pool->parallel_for(blocks, do_block);
+        } else {
+            for (std::size_t b = 0; b < blocks; ++b) do_block(b);
+        }
+        for (std::size_t u = 0; u < n; ++u) {
+            pts[u].x += disp[u].x;
+            pts[u].y += disp[u].y;
+        }
+    }
+    double minx = pts[0].x, maxx = pts[0].x, miny = pts[0].y, maxy = pts[0].y;
+    for (const layout_point& p : pts) {
+        minx = std::min(minx, p.x);
+        maxx = std::max(maxx, p.x);
+        miny = std::min(miny, p.y);
+        maxy = std::max(maxy, p.y);
+    }
+    const double span = std::max({maxx - minx, maxy - miny, 1e-12});
+    for (layout_point& p : pts) {
+        p.x = (p.x - minx) / span;
+        p.y = (p.y - miny) / span;
+    }
+    return pts;
+}
+
 // Fastest of at least 3 calls, repeating until `min_total` seconds have
 // been spent, so sub-millisecond kernels are not timed off one call.
 template <class Fn>
@@ -458,6 +536,47 @@ int run(const bench::gate_options& opt) {
         return 2;
     }
 
+    // --- 5. multilevel layout vs the single-level replica (ratio + quality) ---
+    // profile-cold's seven gallery families at its thumbnail size, then
+    // three families at 16384 where the replica drops to 50 iterations.
+    struct layout_case {
+        const char* name;
+        graph_family family;
+        std::size_t n;
+    };
+    std::vector<layout_case> layout_cases = {
+        {"ba(1024)", graph_family::barabasi_albert, 1024},
+        {"ws(1024)", graph_family::watts_strogatz, 1024},
+        {"torus(1024)", graph_family::torus, 1024},
+        {"rgg(1024)", graph_family::random_geometric, 1024},
+        {"random_regular(1024)", graph_family::random_regular, 1024},
+        {"er(1024)", graph_family::erdos_renyi, 1024},
+        {"caveman(1024)", graph_family::connected_caveman, 1024},
+    };
+    if (!opt.quick) {
+        layout_cases.push_back({"torus(16384)", graph_family::torus, 16384});
+        layout_cases.push_back({"ba(16384)", graph_family::barabasi_albert, 16384});
+        layout_cases.push_back({"star(16384)", graph_family::star, 16384});
+    }
+    text_table t5({"workload", "n", "new s", "replica s", "speedup", "new stress",
+                   "replica stress", "quality ok"});
+    for (const layout_case& c : layout_cases) {
+        const graph g = make_family(c.family, c.n, 1);
+        layout_options lo;
+        lo.pool = &pool;
+        std::vector<layout_point> pts_new, pts_old;
+        const double new_s = best_seconds([&] { pts_new = force_layout(g, lo); }, 0.5);
+        const double legacy_s =
+            best_seconds([&] { pts_old = legacy_force_layout(g, lo.seed, &pool); }, 0.5);
+        const double stress_new = layout_stress(g, pts_new, 1);
+        const double stress_old = layout_stress(g, pts_old, 1);
+        t5.add_row({c.name, fmt_count(g.num_nodes()), fmt_fixed(new_s, 4),
+                    fmt_fixed(legacy_s, 4), fmt_ratio(legacy_s / new_s),
+                    fmt_fixed(stress_new, 3), fmt_fixed(stress_old, 3),
+                    stress_new <= 1.05 * stress_old ? "yes" : "NO"});
+    }
+    gate.emit("layout", t5);
+
     // Gate the speedup ratios (same-host, machine-independent) and the
     // agreement identities; absolute seconds stay informational.
     return gate.finish({
@@ -466,6 +585,8 @@ int run(const bench::gate_options& opt) {
         {"estimator agreement", "family", "tmix agree", true},
         {"exact kernels", "workload", "speedup", false},
         {"exact kernels", "workload", "same result", true},
+        {"layout", "workload", "speedup", false},
+        {"layout", "workload", "quality ok", true},
     });
 }
 

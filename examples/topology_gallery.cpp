@@ -1,5 +1,5 @@
 // topology_gallery — render any zoo family as a self-contained SVG via
-// the in-tree Barnes–Hut force layout.
+// the in-tree multilevel Barnes–Hut force layout.
 //
 //   ./topology_gallery                      # list every family + alias
 //   ./topology_gallery wheel 32 > wheel.svg

@@ -1,14 +1,28 @@
-// anole — pool-based Barnes–Hut force-directed layout.
+// anole — pool-based multilevel Barnes–Hut force-directed layout.
 //
 // The campaign HTML report (sim/report.h) and the topology gallery need
 // graph thumbnails at zoo scale. External Graphviz rendering is O(V²) in
 // practice; this module is an in-tree Fruchterman–Reingold spring
 // embedder whose repulsion pass runs through a Barnes–Hut quadtree, so
-// one iteration costs O(V log V + E) and a 10⁵-node instance lays out in
-// seconds.
+// one iteration costs O(V log V + E), and which runs multilevel
+// (Walshaw, "A multilevel algorithm for force-directed graph drawing";
+// Hu, "Efficient, high-quality force-directed graph drawing"):
+//   1. coarsen: heavy-edge matching in index order, then pairing of the
+//      leftover nodes that share a neighbour, until a level has <= 64
+//      nodes or keeps more than 85% of its parent's;
+//   2. lay out the coarsest level from a seeded random start;
+//   3. interpolate each finer level from its parents and refine it with a
+//      few cool iterations.
+// A graph that never coarsens (every n <= 64) runs the single-level pass
+// on itself alone. A 10⁵-node instance lays out in seconds, and lattices
+// come out flat instead of folded.
 //
-// Determinism contract (the same one the engine and Lanczos keep):
-//   * initial positions derive from (seed, node index) alone;
+// Determinism contract (the same one the engine and Lanczos keep), at
+// every level:
+//   * the hierarchy is built serially in index order from the graph alone;
+//   * the coarsest level's start positions derive from (seed, node index)
+//     alone, and an interpolated node's jitter from (seed, level, node
+//     index) alone;
 //   * the quadtree is built by inserting bodies in index order;
 //   * per-node force accumulation reads shared immutable state (positions
 //     + tree) and writes only its own displacement slot, so sharding the
@@ -85,8 +99,9 @@ private:
 // --- force-directed layout --------------------------------------------------
 
 struct layout_options {
-    // 0 = auto: enough iterations for small graphs to settle, fewer at
-    // scale where each one costs more (the report only needs shape).
+    // Passes on the input graph itself. 0 = auto: 100/50/30 (n <= 2048 /
+    // 32768 / above) when the graph never coarsens, else a short refining
+    // budget (15/8/5). Coarser levels always take their auto budgets.
     std::size_t iterations = 0;
     // Barnes–Hut opening angle; larger = faster/coarser. 0 = exact.
     double theta = 0.85;
@@ -96,11 +111,23 @@ struct layout_options {
     thread_pool* pool = nullptr;
 };
 
-// Deterministic Fruchterman–Reingold embedding of g into [0, 1]², BH
-// repulsion + CSR-edge attraction + linear cooling. O(iterations ·
-// (V log V + E)) time, O(V) memory beyond the tree pool.
+// Deterministic multilevel Fruchterman–Reingold embedding of g into
+// [0, 1]²: BH repulsion + CSR-edge attraction + linear cooling on every
+// level. The levels shrink geometrically, so the time is a constant
+// number of O(V log V + E) passes; memory is O(V + E) for the hierarchy
+// beyond the tree pool.
 [[nodiscard]] std::vector<layout_point> force_layout(const graph& g,
                                                      const layout_options& opt = {});
+
+// --- layout quality ---------------------------------------------------------
+
+// Normalised stress of `pts` against hop distances, from 48 seeded BFS
+// sources (every node when n <= 48): with r = |p_i − p_j| / d_ij over the
+// sampled reachable pairs, weights 1/d² and the closed-form optimal scale
+// s* = Σr / Σr², it is 1 − (Σr)² / (P·Σr²) ∈ [0, 1]; 0 means the drawing
+// reproduces every sampled graph distance up to one common scale.
+[[nodiscard]] double layout_stress(const graph& g, std::span<const layout_point> pts,
+                                   std::uint64_t seed);
 
 // --- SVG rendering ----------------------------------------------------------
 

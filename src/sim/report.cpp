@@ -545,9 +545,9 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
         const std::string gallery = gallery_html(records, opt);
         if (!gallery.empty()) {
             html += "<h2>topology gallery</h2>";
-            html += "<p class=\"sub\">force-directed thumbnails (Barnes–Hut "
-                    "layout, deterministic from the campaign topology seed); "
-                    "dense instances are stride-sampled.</p>";
+            html += "<p class=\"sub\">force-directed thumbnails (multilevel "
+                    "Barnes–Hut force layout, deterministic from the campaign "
+                    "topology seed); dense instances are stride-sampled.</p>";
             html += gallery;
         }
     }

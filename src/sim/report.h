@@ -15,8 +15,9 @@
 //     prints) — the accessible fallback for every chart above it;
 //   * a safety section listing oracle violations and failed units;
 //   * a topology gallery: one force-directed thumbnail per family at the
-//     largest recorded size, laid out by graph/layout.h (Barnes–Hut, so
-//     n = 10⁵ thumbnails are fine) on the campaign's own topology seed.
+//     largest recorded size, laid out by graph/layout.h (multilevel
+//     Barnes–Hut force layout, so n = 10⁵ thumbnails are fine) on the
+//     campaign's own topology seed.
 //
 // Light and dark mode are both first-class: colors are CSS custom
 // properties with a prefers-color-scheme override, and the SVG marks

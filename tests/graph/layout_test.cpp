@@ -1,14 +1,17 @@
 // Tests for graph/layout.h: quadtree mass/centroid bookkeeping, the
 // Barnes–Hut approximation against the exact pairwise sum, closed-form
 // force sanity, bitwise determinism across thread-pool sizes (also when
-// the layout runs inside a job of its own pool), and the SVG renderer's
-// caps.
+// the layout runs inside a job of its own pool), the multilevel pass's
+// quality and its single-level fallback, and the SVG renderer's caps.
 #include "graph/layout.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "sim/thread_pool.h"
@@ -212,6 +215,96 @@ TEST(ForceLayout, TinyGraphsAreWellDefined) {
     const auto p2 = force_layout(pair);
     ASSERT_EQ(p2.size(), 2u);
     EXPECT_NE(std::pair(p2[0].x, p2[0].y), std::pair(p2[1].x, p2[1].y));
+}
+
+TEST(ForceLayout, LatticesUntangle) {
+    // A random-start single-level pass leaves lattices folded (stress
+    // 0.73-0.76 on path and cycle, 0.21-0.22 on grid and torus at this
+    // size); coarsening first lays them out flat.
+    const std::pair<graph_family, double> cases[] = {
+        {graph_family::path, 0.40},
+        {graph_family::cycle, 0.40},
+        {graph_family::grid2d, 0.15},
+        {graph_family::torus, 0.15},
+    };
+    for (const auto& [family, bound] : cases) {
+        const graph g = make_family(family, 1024, 1);
+        const double stress = layout_stress(g, force_layout(g), 1);
+        EXPECT_LE(stress, bound) << to_string(family);
+        EXPECT_GE(stress, 0.0) << to_string(family);
+    }
+}
+
+TEST(ForceLayout, CoarseningStallsGracefully) {
+    // Hubs defeat plain matching: one edge per hub leaves the other
+    // leaves unmatched. Pairing leaves through their shared hub must
+    // still shrink the graph, and no two nodes may end up coincident.
+    for (const graph_family family : {graph_family::star, graph_family::wheel,
+                                      graph_family::barabasi_albert}) {
+        const graph g = make_family(family, 4096, 1);
+        const std::vector<layout_point> pts = force_layout(g);
+        ASSERT_EQ(pts.size(), g.num_nodes());
+        std::vector<std::pair<double, double>> sorted;
+        for (const layout_point& p : pts) {
+            ASSERT_TRUE(std::isfinite(p.x) && std::isfinite(p.y)) << to_string(family);
+            EXPECT_GE(p.x, 0.0);
+            EXPECT_LE(p.x, 1.0);
+            EXPECT_GE(p.y, 0.0);
+            EXPECT_LE(p.y, 1.0);
+            sorted.emplace_back(p.x, p.y);
+        }
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+            << to_string(family);
+    }
+}
+
+TEST(ForceLayout, SmallGraphsKeepTheirCoordinates) {
+    // Graphs of at most 64 nodes never coarsen, so they keep the
+    // single-level pass's coordinates bit for bit. FNV-1a over the
+    // coordinates' bytes, pinned from that pass.
+    const auto digest = [](const std::vector<layout_point>& pts) {
+        std::uint64_t h = 1469598103934665603ULL;
+        for (const layout_point& p : pts) {
+            unsigned char bytes[2 * sizeof(double)];
+            std::memcpy(bytes, &p.x, sizeof(double));
+            std::memcpy(bytes + sizeof(double), &p.y, sizeof(double));
+            for (const unsigned char b : bytes) {
+                h ^= b;
+                h *= 1099511628211ULL;
+            }
+        }
+        return h;
+    };
+    EXPECT_EQ(digest(force_layout(make_family(graph_family::wheel, 64, 1))),
+              0xc6ae4afee6fc93cfULL);
+    EXPECT_EQ(digest(force_layout(make_family(graph_family::cycle, 16, 1))),
+              0x54e9f523825faf0fULL);
+    EXPECT_EQ(digest(force_layout(make_family(graph_family::complete, 8, 1))),
+              0x48f301d198f8e7fbULL);
+}
+
+TEST(LayoutStress, ZeroForAnExactDrawingAndScaleFree) {
+    // A path drawn on a line at unit spacing reproduces every hop
+    // distance; scaling the drawing changes nothing.
+    const graph g = make_family(graph_family::path, 100, 1);
+    std::vector<layout_point> line(g.num_nodes()), wide(g.num_nodes());
+    for (std::size_t u = 0; u < line.size(); ++u) {
+        line[u] = {static_cast<double>(u), 0.0};
+        wide[u] = {7.5 * static_cast<double>(u), 0.0};
+    }
+    EXPECT_NEAR(layout_stress(g, line, 3), 0.0, 1e-12);
+    EXPECT_NEAR(layout_stress(g, wide, 3), 0.0, 1e-12);
+    // A folded drawing is worse, and the value is seed-stable.
+    std::vector<layout_point> folded = line;
+    for (std::size_t u = 50; u < folded.size(); ++u) {
+        folded[u] = {static_cast<double>(99 - u), 1.0};
+    }
+    const double s = layout_stress(g, folded, 3);
+    EXPECT_GT(s, 0.1);
+    EXPECT_LE(s, 1.0);
+    EXPECT_EQ(s, layout_stress(g, folded, 3));
+    EXPECT_THROW((void)layout_stress(g, std::vector<layout_point>(3), 3), error);
 }
 
 TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
