@@ -15,7 +15,11 @@
 //   4. quiet-round fast-forward — the revocable and irrevocable protocols
 //      with the engine skipping quiet rounds vs the same engine stepping
 //      every round (hooks hidden by always_step), which must end
-//      bitwise-identical.
+//      bitwise-identical;
+//   5. gilbert walk batches — the Gilbert baseline's heap-free node (flat
+//      per-candidate records, inline batches, moved sends) vs the frozen
+//      map-and-vector replica in bench/gilbert_replica.h, on elect-known-n's
+//      gilbert units; both must end bitwise-identical.
 //
 // Output follows the BENCH_*.json trajectory schema (docs/BENCHMARKS.md);
 // the committed baseline lives at BENCH_ENGINE.json in the repo root and
@@ -38,7 +42,9 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/gilbert_le.h"
 #include "bench/gate.h"
+#include "bench/gilbert_replica.h"
 #include "core/irrevocable.h"
 #include "core/random_walk.h"
 #include "core/revocable.h"
@@ -370,6 +376,27 @@ bool ff_row(text_table& t, const std::string& name, const graph& g, const Params
     return same;
 }
 
+// Runs a whole Gilbert election of Node (the current node or the frozen
+// replica) on the engine, as run_gilbert schedules it.
+template <class Node>
+ff_state run_gilbert_rounds(const graph& g, const gilbert_params& p, std::uint64_t seed,
+                            double* seconds) {
+    const auto t0 = std::chrono::steady_clock::now();
+    engine<Node> eng(g, seed, congest_budget::fragmenting(16));
+    eng.spawn([&](std::size_t u) { return Node(g.degree(static_cast<node_id>(u)), p); });
+    eng.set_phase("gilbert");
+    eng.run_rounds(p.total_rounds() + 1);
+    *seconds = seconds_since(t0);
+    ff_state st{eng.round(), eng.metrics().total(), {}};
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+        const Node& nd = eng.node(u);
+        const node_status ns = nd.status();
+        st.nodes.insert(st.nodes.end(), {ns.decided ? 1u : 0u, ns.leader ? 1u : 0u,
+                                         ns.own_id, nd.marks()});
+    }
+    return st;
+}
+
 int run(const bench::gate_options& opt) {
     bench::gate_run gate(opt);
 
@@ -488,6 +515,37 @@ int run(const bench::gate_options& opt) {
         return 2;
     }
 
+    // --- 5. gilbert walk batches: heap-free node vs the frozen replica ---
+    // elect-known-n's gilbert units (bench_e2e): profile-filled parameters
+    // and run_gilbert's fragmenting budget; best of five runs per side.
+    text_table t5({"workload", "replica s", "new s", "speedup", "identical"});
+    bool gl_identical = true;
+    for (const graph_family f : {graph_family::hypercube, graph_family::torus}) {
+        const graph& g = runner.materialize(family_spec{f, 128, 1});
+        gilbert_params gp = scenario_runner::fill(gilbert_params{}, runner.profile_for(g));
+        if (opt.quick) gp.c = 0.1;
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            double replica_s = 1e300, new_s = 1e300;
+            bool same = true;
+            for (int rep = 0; rep < 5; ++rep) {
+                double s = 0;
+                const ff_state ref = run_gilbert_rounds<replica::gilbert_node>(g, gp, seed, &s);
+                replica_s = std::min(replica_s, s);
+                same = same && run_gilbert_rounds<gilbert_node>(g, gp, seed, &s) == ref;
+                new_s = std::min(new_s, s);
+            }
+            gl_identical &= same;
+            t5.add_row({std::string(to_string(f)) + "(128) seed " + std::to_string(seed),
+                        fmt_fixed(replica_s, 4), fmt_fixed(new_s, 4),
+                        fmt_ratio(replica_s / new_s), same ? "yes" : "NO"});
+        }
+    }
+    gate.emit("gilbert walk batches", t5);
+    if (!gl_identical) {
+        std::fprintf(stderr, "gilbert node diverged from its frozen replica\n");
+        return 2;
+    }
+
     // Gate the *speedup* columns, not absolute throughput: both sides of
     // each ratio run on the same machine in the same process, so the gate
     // is machine-independent — a slower CI runner shifts flat and legacy
@@ -498,6 +556,8 @@ int run(const bench::gate_options& opt) {
         {"parallel step identity", "family", "identical", true},
         {"quiet-round fast-forward", "workload", "speedup", false},
         {"quiet-round fast-forward", "workload", "identical", true},
+        {"gilbert walk batches", "workload", "speedup", false},
+        {"gilbert walk batches", "workload", "identical", true},
     });
 }
 

@@ -1,16 +1,25 @@
 #include "baseline/gilbert_le.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace anole {
 
-void gilbert_node::queue_kill(std::uint64_t id) {
-    auto it = crumbs_.find(id);
-    if (it == crumbs_.end() || it->second.kill_sent) return;
-    it->second.kill_sent = true;
-    const port_id p = it->second.from;
-    out_[p].kills.push_back(id);
-    out_used_[p] = 1;
+gilbert_node::cand_rec* gilbert_node::find(std::uint64_t id) {
+    const auto it = std::ranges::lower_bound(cands_, id, {}, &cand_rec::id);
+    return it != cands_.end() && it->id == id ? &*it : nullptr;
+}
+
+gilbert_node::cand_rec& gilbert_node::record(std::uint64_t id, port_id port) {
+    const auto it = std::ranges::lower_bound(cands_, id, {}, &cand_rec::id);
+    if (it != cands_.end() && it->id == id) return *it;
+    return *cands_.insert(it, cand_rec{id, 0, port, false});
+}
+
+void gilbert_node::queue_kill(cand_rec& c) {
+    if (c.kill_sent) return;
+    c.kill_sent = true;
+    out_[c.from].kills.push_back(c.id);
 }
 
 void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
@@ -20,11 +29,11 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
         if (candidate_) {
             id_ = ctx.rng().range(1, p_->id_space());
             mark_max_ = id_;
-            tokens_[id_] = p_->tokens();
-            crumbs_[id_] = {0, true};  // own ID: kills terminate here
+            // Own ID: kills terminate here.
+            cands_.push_back(cand_rec{id_, p_->tokens(), 0, true});
+            walking_ = true;
         }
         out_.resize(degree_);
-        out_used_.assign(degree_, 0);
     }
 
     const std::uint64_t r = ctx.round();
@@ -33,38 +42,32 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
         ctx.halt();
         return;
     }
-    if (inbox.empty() && tokens_.empty()) return;  // idle fast path
-
-    for (auto& m : out_) {
-        m.walks.clear();
-        m.kills.clear();
-    }
-    std::fill(out_used_.begin(), out_used_.end(), 0);
+    if (inbox.empty() && !walking_) return;  // idle fast path
 
     // --- receive ---
     for (const auto& [port, msg] : inbox) {
-        for (const auto& [wid, cnt] : msg.walks) {
+        for (const gl_walk& w : msg.walks) {
             // Breadcrumb: first arrival port points back toward the
             // candidate (strictly earlier in time, hence acyclic).
-            crumbs_.try_emplace(wid, crumb{port, false});
-            if (wid > mark_max_) {
+            cand_rec& c = record(w.id, port);
+            if (w.id > mark_max_) {
                 // This territory is dominated: kill every weaker
                 // candidate we hold a breadcrumb for.
-                mark_max_ = wid;
-                for (const auto& [cid, cr] : crumbs_) {
-                    (void)cr;
-                    if (cid < wid) queue_kill(cid);
+                mark_max_ = w.id;
+                for (cand_rec& weaker : cands_) {
+                    if (weaker.id >= w.id) break;
+                    queue_kill(weaker);
                 }
-            } else if (wid < mark_max_) {
-                queue_kill(wid);  // token walked into stronger territory
+            } else if (w.id < mark_max_) {
+                queue_kill(c);  // token walked into stronger territory
             }
-            tokens_[wid] += cnt;  // tokens keep walking regardless
+            c.tokens += w.count;  // tokens keep walking regardless
         }
         for (std::uint64_t kid : msg.kills) {
             if (candidate_ && kid == id_) {
                 killed_ = true;
-            } else {
-                queue_kill(kid);  // forward along the breadcrumb chain
+            } else if (cand_rec* c = find(kid)) {
+                queue_kill(*c);  // forward along the breadcrumb chain
             }
         }
     }
@@ -72,37 +75,37 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
 
     // --- move tokens (walk phase only; drain phase only forwards kills) ---
     if (r < p_->walk_len()) {
-        for (auto& [wid, cnt] : tokens_) {
+        // A local copy of the stream keeps its state in registers across
+        // the token loop; it is written back below.
+        xoshiro256ss rng = ctx.rng();
+        walking_ = false;
+        for (cand_rec& c : cands_) {
             std::uint64_t staying = 0;
-            for (std::uint64_t t = 0; t < cnt; ++t) {
-                if (ctx.rng().bit()) {
-                    const auto p = static_cast<port_id>(ctx.rng().below(degree_));
-                    bool found = false;
-                    for (auto& w : out_[p].walks) {
-                        if (w.first == wid) {
-                            ++w.second;
-                            found = true;
-                            break;
-                        }
+            for (std::uint64_t t = 0; t < c.tokens; ++t) {
+                if (rng.bit()) {
+                    // Records run in id order, so this candidate's batch
+                    // entry on the port, if any, is the last one.
+                    auto& walks = out_[static_cast<port_id>(rng.below(degree_))].walks;
+                    if (!walks.empty() && walks.back().id == c.id) {
+                        ++walks.back().count;
+                    } else {
+                        walks.push_back(gl_walk{c.id, 1});
                     }
-                    if (!found) out_[p].walks.emplace_back(wid, 1);
-                    out_used_[p] = 1;
                 } else {
                     ++staying;
                 }
             }
-            cnt = staying;
+            c.tokens = staying;
+            walking_ = walking_ || staying != 0;
         }
-        // Drop empty entries to keep the map small.
-        for (auto it = tokens_.begin(); it != tokens_.end();) {
-            it = it->second == 0 ? tokens_.erase(it) : std::next(it);
-        }
+        ctx.rng() = rng;
     } else {
-        tokens_.clear();  // walk phase over; only kills continue
+        walking_ = false;  // walk phase over; only kills continue
     }
 
     for (port_id p = 0; p < degree_; ++p) {
-        if (out_used_[p]) ctx.send(p, out_[p]);
+        gl_msg& m = out_[p];
+        if (!m.walks.empty() || !m.kills.empty()) ctx.send(p, std::move(m));
     }
 }
 

@@ -33,13 +33,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/bit_codec.h"
+#include "util/inline_vec.h"
 
 namespace anole {
 
@@ -76,14 +76,24 @@ struct gilbert_params {
     }
 };
 
+// One candidate's walk tokens crossing a link together.
+struct gl_walk {
+    std::uint64_t id;
+    std::uint64_t count;
+};
+
 struct gl_msg {
-    // Batched walk tokens (id, count) plus batched kill notices.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> walks;
-    std::vector<std::uint64_t> kills;
+    // Batched walk tokens plus batched kill notices, inline up to a few
+    // candidates per link (util/inline_vec.h): a send moves the batch
+    // into the engine's slot without touching the heap.
+    static constexpr std::size_t inline_walks = 4;
+    static constexpr std::size_t inline_kills = 2;
+    inline_vec<gl_walk, inline_walks> walks;
+    inline_vec<std::uint64_t, inline_kills> kills;
 
     [[nodiscard]] std::size_t bit_size() const noexcept {
         std::size_t bits = 2;  // presence flags
-        for (const auto& [id, cnt] : walks) bits += gamma0_bits(id) + gamma0_bits(cnt);
+        for (const gl_walk& w : walks) bits += gamma0_bits(w.id) + gamma0_bits(w.count);
         for (std::uint64_t id : kills) bits += gamma0_bits(id);
         return bits;
     }
@@ -101,7 +111,7 @@ public:
     [[nodiscard]] bool is_candidate() const noexcept { return candidate_; }
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
     [[nodiscard]] bool is_leader() const noexcept { return leader_; }
-    [[nodiscard]] std::size_t marks() const noexcept { return crumbs_.size(); }
+    [[nodiscard]] std::size_t marks() const noexcept { return cands_.size(); }
     [[nodiscard]] node_status status() const noexcept {
         node_status st;
         st.decided = leader_ || killed_;
@@ -111,12 +121,18 @@ public:
     }
 
 private:
-    struct crumb {
-        port_id from;      // first-arrival port: points back toward the candidate
-        bool kill_sent;    // dedup: forward each kill at most once
+    // Everything this node knows about one candidate ID it has seen.
+    struct cand_rec {
+        std::uint64_t id;
+        std::uint64_t tokens;  // resident walk tokens
+        port_id from;          // first-arrival port: points back toward the candidate
+        bool kill_sent;        // dedup: forward each kill at most once
     };
 
-    void queue_kill(std::uint64_t id);
+    [[nodiscard]] cand_rec* find(std::uint64_t id);  // nullptr if never seen
+    // The record of `id`, created with first-arrival port `port` if new.
+    cand_rec& record(std::uint64_t id, port_id port);
+    void queue_kill(cand_rec& c);
 
     std::size_t degree_;
     const gilbert_params* p_;
@@ -125,14 +141,18 @@ private:
     bool candidate_ = false;
     bool killed_ = false;
     bool leader_ = false;
+    // Walk phase and some record has resident tokens: the node must step
+    // even on an empty inbox. Records' counts are unused after the walk phase.
+    bool walking_ = false;
     std::uint64_t id_ = 0;
     std::uint64_t mark_max_ = 0;
 
-    std::map<std::uint64_t, crumb> crumbs_;
-    std::map<std::uint64_t, std::uint64_t> tokens_;  // id -> resident count
-    // Staged per-port output, rebuilt each round.
+    // Sorted by id, so every per-candidate loop (and with it the order of
+    // RNG draws and batch entries) runs in id order.
+    std::vector<cand_rec> cands_;
+    // Staged per-port output. A send moves a batch out and leaves it
+    // empty, so the staging is clean at the start of every round.
     std::vector<gl_msg> out_;
-    std::vector<char> out_used_;
 };
 
 struct gilbert_result : run_outcome {

@@ -96,11 +96,16 @@ std::size_t sturm_count(const std::vector<double>& alpha,
 
 // Largest eigenvalue of the leading j×j tridiagonal by bisection. The
 // deflated lazy spectrum lives in [0, 1]; widen slightly for roundoff.
+// Once the midpoint rounds onto an end, lo and hi are adjacent doubles
+// (or equal): a further step either leaves them as they are or sets the
+// other end to mid, and 0.5·(lo + hi) stays mid either way, so returning
+// it there is exactly what the full 100 steps would return.
 double tridiag_largest(const std::vector<double>& alpha,
                        const std::vector<double>& beta, std::size_t j) {
     double lo = -0.25, hi = 1.25;
     for (int it = 0; it < 100; ++it) {
         const double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi) return mid;
         if (sturm_count(alpha, beta, j, mid) >= j) {
             hi = mid;  // all eigenvalues below mid
         } else {
@@ -207,7 +212,6 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
     std::vector<double> w(n), scaled(n);
     double theta = 0.0;
     std::vector<double> ritz_y;
-    bool exhausted = false;
 
     for (std::size_t j = 0; j < max_iters; ++j) {
         lazy_sym_matvec(g, basis[j], inv_sqrt_d, scaled, w, pool);
@@ -242,7 +246,6 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
         if (nb < 1e-12) {
             // Krylov space exhausted: T now represents the reachable
             // invariant subspace exactly — the Ritz pair is the answer.
-            exhausted = true;
             theta = tridiag_largest(alpha, beta, alpha.size());
             ritz_y = tridiag_eigvec(alpha, beta, alpha.size(), theta);
             break;
@@ -260,7 +263,6 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
         ritz_y = tridiag_eigvec(alpha, beta, alpha.size(), theta);
         if (nb * std::abs(ritz_y.back()) <= 0.5 * opt.tol && j >= 2) break;
     }
-    (void)exhausted;
 
     // Assemble the Ritz vector in node space, re-deflate, normalize.
     std::vector<double> fied(n, 0.0);

@@ -15,7 +15,8 @@
 // The engine is a class template over the protocol type P, which must
 // provide:
 //     using message_type = ...;   // copyable, default-constructible,
-//                                 // with bit_size() -> size_t
+//                                 // with bit_size() -> size_t, and
+//                                 // owning no heap memory (see below)
 //     void on_round(node_ctx<message_type>& ctx,
 //                   inbox_view<message_type> inbox);
 //
@@ -52,7 +53,12 @@
 // cur/nxt buffers swap in O(1). Compared to per-node inbox vectors this
 // removes all per-message heap traffic, the per-send engine round-trip
 // and metrics work, the scattered delivery stores, and the O(n)
-// per-round clear.
+// per-round clear. "No per-message heap traffic" holds only while the
+// message type owns no heap memory: a send moves the payload into its
+// slot and frees whatever the slot held, so a payload with a std::vector
+// pays an allocation and a free per send. Variable-length payloads keep
+// their common case inline (util/inline_vec.h, as gl_msg does) and move,
+// not copy, into send().
 //
 // Because every slot has a unique writer and every node draws from a
 // private RNG stream, rounds can also be sharded across a thread pool

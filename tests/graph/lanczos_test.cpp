@@ -8,12 +8,16 @@
 //     orthogonal to the known top eigenvector) and closed forms for
 //     cycle/complete; power-iteration cross-check on sparse families.
 //   * The sharded path must be bitwise identical for every pool size.
+//   * Profiles and Fiedler vectors of all 19 families at n=64 and 1024
+//     are pinned bit for bit by digest.
 #include "graph/lanczos.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -169,6 +173,76 @@ TEST(Lanczos, ExplicitBudgetIsHonored) {
     EXPECT_LE(r.iterations, 5u);
     // 5 Krylov steps cannot resolve the cycle's clustered spectrum.
     EXPECT_FALSE(r.converged);
+}
+
+TEST(Lanczos, ProfileBitsPinned) {
+    // FNV-1a digests of profile(g).to_json() and of fiedler_vector(g)'s
+    // bytes, pinned before tridiag_largest stopped its bisection early.
+    // They guard every later change to the profile path: a change that
+    // moves one bit of a profile field or of the Fiedler vector fails here.
+    const auto fnv = [](const void* data, std::size_t len) {
+        std::uint64_t h = 1469598103934665603ULL;
+        const auto* bytes = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < len; ++i) {
+            h ^= bytes[i];
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    struct pin {
+        graph_family family;
+        std::size_t n;
+        std::uint64_t profile_json, fiedler_bits;
+    };
+    const pin pins[] = {
+        {graph_family::path, 64, 0xe23534e2d0e26fe5ULL, 0x7ad68b3ad49d3728ULL},
+        {graph_family::cycle, 64, 0xaaad5046008547aaULL, 0x00c8528dd7ceba8eULL},
+        {graph_family::complete, 64, 0xd55db2b5195499faULL, 0x119379893da8818eULL},
+        {graph_family::star, 64, 0xab4282258cc7a1baULL, 0xe2a57866a4b04a75ULL},
+        {graph_family::grid2d, 64, 0x8daf044e5766fdcfULL, 0x42cc457b8c278af8ULL},
+        {graph_family::torus, 64, 0x1ed41d53de4277d5ULL, 0xa32c563b6ea9726eULL},
+        {graph_family::hypercube, 64, 0x7168ef8559a0528fULL, 0x67bd626d5c62048aULL},
+        {graph_family::binary_tree, 64, 0x8b2ef825a2c8fdccULL, 0x265f50e4e05c003dULL},
+        {graph_family::random_regular, 64, 0xcbc451712cab5d5eULL, 0x52b2b50e25083055ULL},
+        {graph_family::erdos_renyi, 64, 0xeab2f31506d3a784ULL, 0x53514681813c92f5ULL},
+        {graph_family::ring_of_cliques, 64, 0x0cccf05251574a8cULL, 0xf0d925edf949384fULL},
+        {graph_family::barbell, 64, 0xec9cf2587c504c5eULL, 0x75e23ed87ec6301cULL},
+        {graph_family::lollipop, 64, 0x25a8d79bb488598aULL, 0xcbeb10b1fb4c4a2dULL},
+        {graph_family::dumbbell, 64, 0x69177f5e1589eb3eULL, 0xf445b59f4aa899c1ULL},
+        {graph_family::wheel, 64, 0x7f850fb6d8d518ddULL, 0x50ef4bdcead02f96ULL},
+        {graph_family::watts_strogatz, 64, 0x2dc6f90f2daedc57ULL, 0x74855a82bbad2e62ULL},
+        {graph_family::barabasi_albert, 64, 0x0c046d432be7f5edULL, 0xfa891ea89658ee51ULL},
+        {graph_family::random_geometric, 64, 0xe1de547c8e679059ULL, 0xb2a155d5ed4ecfe2ULL},
+        {graph_family::connected_caveman, 64, 0x4a58422d4cc5bd01ULL, 0xbae56ddff4465dceULL},
+        {graph_family::path, 1024, 0x18e8025862f53781ULL, 0x710de6dd7eab8e82ULL},
+        {graph_family::cycle, 1024, 0x046dcc25eb0f923aULL, 0x1d396dd5a98b20abULL},
+        {graph_family::complete, 1024, 0x32b86421c248f96eULL, 0x7c795e2dbfc90df3ULL},
+        {graph_family::star, 1024, 0x7ad92d69a2982b48ULL, 0xdc3f610be0f84950ULL},
+        {graph_family::grid2d, 1024, 0x2e12405d775bf6fcULL, 0x3ff45372fcc06516ULL},
+        {graph_family::torus, 1024, 0x8a017964ff65ca47ULL, 0xfaa94b97f3ab8668ULL},
+        {graph_family::hypercube, 1024, 0x558638b95c89dbadULL, 0x55c40ae64e77ce41ULL},
+        {graph_family::binary_tree, 1024, 0xdd933b17975f7952ULL, 0x7761603e35792425ULL},
+        {graph_family::random_regular, 1024, 0x7836d0a12f886f71ULL, 0x26820b9c8eb71240ULL},
+        {graph_family::erdos_renyi, 1024, 0x8d60cb3d42e1be1eULL, 0x193d1c32311facf8ULL},
+        {graph_family::ring_of_cliques, 1024, 0x83565a002c79ae28ULL, 0xd99355768f64dcb3ULL},
+        {graph_family::barbell, 1024, 0x4dcc3ba38f86a272ULL, 0x50ddf74ae3b9a367ULL},
+        {graph_family::lollipop, 1024, 0xc7dc34fbdc5d6ff0ULL, 0x72f58de127edf5e3ULL},
+        {graph_family::dumbbell, 1024, 0x2c7cfdda3cb3c436ULL, 0x5ad1c222860bf7acULL},
+        {graph_family::wheel, 1024, 0x3778b76845db0006ULL, 0x8c8f9267e4c4c53dULL},
+        {graph_family::watts_strogatz, 1024, 0xe16e9e1cd9583521ULL, 0xd751378635465d26ULL},
+        {graph_family::barabasi_albert, 1024, 0x5b051af7613f8721ULL, 0xeb8d419bf197d44aULL},
+        {graph_family::random_geometric, 1024, 0xb26cc67c2278c7e5ULL, 0x412735a67296a651ULL},
+        {graph_family::connected_caveman, 1024, 0xc0d29fa38d436033ULL, 0x6f14c64542293be9ULL},
+    };
+    for (const pin& p : pins) {
+        const graph g = make_family(p.family, p.n, 1);
+        const std::string json = profile(g).to_json();
+        const std::vector<double> fied = fiedler_vector(g);
+        EXPECT_EQ(fnv(json.data(), json.size()), p.profile_json)
+            << to_string(p.family) << " n=" << p.n << ": " << json;
+        EXPECT_EQ(fnv(fied.data(), fied.size() * sizeof(double)), p.fiedler_bits)
+            << to_string(p.family) << " n=" << p.n;
+    }
 }
 
 TEST(Lanczos, RejectsSingletons) {
