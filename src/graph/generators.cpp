@@ -155,19 +155,23 @@ graph make_random_regular(std::size_t n, std::size_t d, std::uint64_t seed,
         }
         edge_list es;
         es.reserve(n * d / 2);
-        std::set<std::pair<node_id, node_id>> seen;
+        // Partners paired so far, d slots per node: a repeat is a scan of
+        // at most d entries.
+        std::vector<node_id> partners(n * d);
+        std::vector<std::size_t> paired(n, 0);
+        const auto partnered = [&](node_id u, node_id v) {
+            const node_id* first = partners.data() + u * d;
+            return std::find(first, first + paired[u], v) != first + paired[u];
+        };
         bool simple = true;
         for (std::size_t i = 0; i < stubs.size(); i += 2) {
             node_id u = stubs[i], v = stubs[i + 1];
-            if (u == v) {
+            if (u == v || partnered(u, v)) {
                 simple = false;
                 break;
             }
-            auto key = std::minmax(u, v);
-            if (!seen.insert({key.first, key.second}).second) {
-                simple = false;
-                break;
-            }
+            partners[u * d + paired[u]++] = v;
+            partners[v * d + paired[v]++] = u;
             es.emplace_back(u, v);
         }
         if (!simple) continue;

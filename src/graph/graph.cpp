@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
-#include <set>
 
 namespace anole {
 
@@ -13,15 +12,30 @@ graph::graph(std::size_t n, const std::vector<std::pair<node_id, node_id>>& edge
     require(n >= 1, "graph: need at least one node");
     require(n <= std::size_t{1} << 31, "graph: too many nodes for node_id");
 
-    // Validate edges and count degrees.
+    // Validate edges and count degrees. The first offending edge names the
+    // error: the first edge out of range or a self-loop, unless an edge
+    // before it repeats an earlier one — a sorted scan of that prefix's
+    // {min, max} keys finds such a repeat.
+    std::size_t bad = 0;
+    while (bad < edges.size() && edges[bad].first < n && edges[bad].second < n &&
+           edges[bad].first != edges[bad].second) {
+        ++bad;
+    }
+    std::vector<std::uint64_t> keys(bad);
+    for (std::size_t i = 0; i < bad; ++i) {
+        const auto [lo, hi] = std::minmax(edges[i].first, edges[i].second);
+        keys[i] = std::uint64_t{lo} << 32 | hi;
+    }
+    std::sort(keys.begin(), keys.end());
+    require(std::adjacent_find(keys.begin(), keys.end()) == keys.end(),
+            "graph: parallel edges not allowed");
+    if (bad < edges.size()) {
+        const auto [u, v] = edges[bad];
+        throw error(u < n && v < n ? "graph: self-loops not allowed"
+                                   : "graph: edge endpoint out of range");
+    }
     std::vector<std::size_t> deg(n, 0);
-    std::set<std::pair<node_id, node_id>> seen;
     for (auto [u, v] : edges) {
-        require(u < n && v < n, "graph: edge endpoint out of range");
-        require(u != v, "graph: self-loops not allowed");
-        auto key = std::minmax(u, v);
-        require(seen.insert({key.first, key.second}).second,
-                "graph: parallel edges not allowed");
         ++deg[u];
         ++deg[v];
     }

@@ -1,6 +1,7 @@
 #include "graph/layout.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -473,6 +474,19 @@ std::size_t sample_stride(std::size_t count, std::size_t cap) {
     return cap == 0 ? 1 : std::max<std::size_t>(1, (count + cap - 1) / cap);
 }
 
+// Appends `name="v"` with v printed as snprintf's "%.1f" prints it;
+// to_chars is exact too and ~5x faster, and thumbnails print thousands.
+void append_attr(std::string& out, const char* name, double v) {
+    // Sign, 309 integer digits of DBL_MAX, the point and one decimal.
+    char buf[320];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 1);
+    out += name;
+    out += "=\"";
+    out.append(buf, r.ptr);
+    out += '"';
+}
+
 }  // namespace
 
 std::string layout_svg(const graph& g, std::span<const layout_point> pts,
@@ -500,10 +514,12 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     out += buf;
     for (std::size_t i = 0; i < edges.size(); i += estride) {
         const auto [u, v] = edges[i];
-        std::snprintf(buf, sizeof buf,
-                      "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\"/>",
-                      sx(pts[u].x), sy(pts[u].y), sx(pts[v].x), sy(pts[v].y));
-        out += buf;
+        out += "<line";
+        append_attr(out, " x1", sx(pts[u].x));
+        append_attr(out, " y1", sy(pts[u].y));
+        append_attr(out, " x2", sx(pts[v].x));
+        append_attr(out, " y2", sy(pts[v].y));
+        out += "/>";
     }
     out += "</g>";
 
@@ -512,9 +528,11 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
                   opt.node_color.c_str());
     out += buf;
     for (std::size_t u = 0; u < pts.size(); u += nstride) {
-        std::snprintf(buf, sizeof buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\"/>",
-                      sx(pts[u].x), sy(pts[u].y), opt.node_radius);
-        out += buf;
+        out += "<circle";
+        append_attr(out, " cx", sx(pts[u].x));
+        append_attr(out, " cy", sy(pts[u].y));
+        append_attr(out, " r", opt.node_radius);
+        out += "/>";
     }
     out += "</g></svg>";
     return out;

@@ -362,22 +362,17 @@ campaign_record make_campaign_record(const campaign_unit& unit,
     return rec;
 }
 
-std::vector<campaign_record> run_campaign_units(
-    const std::vector<campaign_unit>& units, scenario_runner& runner) {
-    std::vector<campaign_record> records;
-    if (units.empty()) return records;
-    for (const campaign_unit& u : units) {
-        require(u.family == units.front().family && u.n == units.front().n &&
-                    u.topology_seed == units.front().topology_seed,
-                "run_campaign_units: units must share one topology group");
-    }
-    // Materialize the group's topology up front (cached — run_batch reuses
-    // the same instance) so per-variant budgets can read the actual edge
-    // count.
-    const family_spec fs{units.front().family, units.front().n,
-                         units.front().topology_seed};
-    const graph& topo = runner.materialize(fs);
+namespace {
 
+// The scenarios of one topology group's units, one repetition each. Runs
+// on the runner's pool as the group's preparation: the topology is
+// materialized first (cached — the runner reuses the same instance) so
+// per-variant budgets can read the actual edge count.
+std::vector<scenario> group_scenarios(const std::vector<campaign_unit>& units,
+                                      scenario_runner& runner) {
+    const campaign_unit& head = units.front();
+    const graph& topo =
+        runner.materialize(family_spec{head.family, head.n, head.topology_seed});
     std::vector<scenario> batch;
     batch.reserve(units.size());
     for (const campaign_unit& u : units) {
@@ -390,11 +385,28 @@ std::vector<campaign_record> run_campaign_units(
         s.dynamics = u.dynamics;
         batch.push_back(std::move(s));
     }
-    const std::vector<scenario_result> results = runner.run_batch(batch);
-    records.reserve(units.size());
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        records.push_back(make_campaign_record(units[i], results[i]));
+    return batch;
+}
+
+}  // namespace
+
+std::vector<campaign_record> run_campaign_units(
+    const std::vector<campaign_unit>& units, scenario_runner& runner) {
+    std::vector<campaign_record> records;
+    if (units.empty()) return records;
+    for (const campaign_unit& u : units) {
+        require(u.family == units.front().family && u.n == units.front().n &&
+                    u.topology_seed == units.front().topology_seed,
+                "run_campaign_units: units must share one topology group");
     }
+    runner.run_stream(
+        1, [&](std::size_t) { return group_scenarios(units, runner); },
+        [&](std::size_t, std::vector<scenario_result> results) {
+            records.reserve(units.size());
+            for (std::size_t i = 0; i < units.size(); ++i) {
+                records.push_back(make_campaign_record(units[i], results[i]));
+            }
+        });
     return records;
 }
 
@@ -428,9 +440,9 @@ campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner)
     campaign_report report;
     std::map<std::string, campaign_record> fresh;
 
-    // One batch per topology group: all variants and seeds of a
-    // (family, size) share the generated graph and its profile through
-    // the runner caches, and the file is flushed between groups.
+    // The pending units of every topology group that has any, in
+    // expansion order.
+    std::vector<std::vector<campaign_unit>> groups;
     const std::size_t group = campaign_group_size(spec);
     for (std::size_t base = 0; base < units.size(); base += group) {
         std::vector<campaign_unit> pending;
@@ -441,20 +453,30 @@ campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner)
                 pending.push_back(units[i]);
             }
         }
-        if (pending.empty()) continue;
-
-        for (campaign_record& rec : run_campaign_units(pending, runner)) {
-            ++report.executed;
-            if (!rec.ok) ++report.failed;
-            if (out.is_open()) out << rec.to_json() << "\n";
-            std::string k = rec.unit.key();
-            fresh.emplace(std::move(k), std::move(rec));
-        }
-        if (out.is_open()) {
-            out.flush();
-            require(out.good(), "campaign: write failed for " + spec.output);
-        }
+        if (!pending.empty()) groups.push_back(std::move(pending));
     }
+
+    // One batch per group: all variants and seeds of a (family, size)
+    // share the generated graph and its profile through the runner
+    // caches. Up to runner.jobs() groups overlap on the pool; each is
+    // appended and flushed in expansion order before the next is
+    // admitted, so the file holds the same bytes for any jobs value.
+    runner.run_stream(
+        groups.size(), [&](std::size_t g) { return group_scenarios(groups[g], runner); },
+        [&](std::size_t g, std::vector<scenario_result> results) {
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                campaign_record rec = make_campaign_record(groups[g][i], results[i]);
+                ++report.executed;
+                if (!rec.ok) ++report.failed;
+                if (out.is_open()) out << rec.to_json() << "\n";
+                std::string k = rec.unit.key();
+                fresh.emplace(std::move(k), std::move(rec));
+            }
+            if (out.is_open()) {
+                out.flush();
+                require(out.good(), "campaign: write failed for " + spec.output);
+            }
+        });
 
     // Assemble every record — resumed + fresh — in expansion order.
     report.records.reserve(units.size());

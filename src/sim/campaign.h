@@ -10,9 +10,11 @@
 //     through the runner's caches (profiles are the expensive step:
 //     spectral estimation + mixing simulation — computed once per
 //     topology per campaign instead of once per bench as before);
-//   * streams one JSON record per completed unit to a JSONL file,
-//     flushed after every topology group, so a killed campaign loses at
-//     most the group in flight;
+//   * runs up to --jobs topology groups at once on the runner's pool
+//     (scenario_runner::run_stream) and streams one JSON record per
+//     completed unit to a JSONL file, appending and flushing whole groups
+//     in expansion order, so a killed campaign loses at most the groups
+//     in flight;
 //   * resumes by reading that file back: units whose key is already
 //     recorded are skipped, never re-run (campaign_report::skipped says
 //     how many);
@@ -22,7 +24,7 @@
 //
 // Record order in the file is deterministic: topology groups in spec
 // order, units in (variant, seed) order within a group — independent of
-// --jobs (the runner's batch API returns results in input order).
+// --jobs (the runner's stream hands groups back in index order).
 // docs/CAMPAIGNS.md documents the spec schema and resume semantics.
 #pragma once
 
@@ -215,17 +217,21 @@ private:
 
 // Runs `units` — which must all belong to one topology group (same
 // family, n, topology_seed) — through the runner, sharing one generated
-// graph and one profile, and returns their records in input order. The
-// group-batch primitive both run_campaign and the fleet workers fan out.
+// graph and one profile, and returns their records in input order: the
+// one-group case of the stream run_campaign runs, which fleet workers
+// call per leased group.
 [[nodiscard]] std::vector<campaign_record> run_campaign_units(
     const std::vector<campaign_unit>& units, scenario_runner& runner);
 
 // Runs the campaign on `runner` (which supplies the thread pool and the
 // shared topology/profile caches). If spec.output names an existing
-// JSONL file, its records are loaded first and those units are skipped;
-// fresh records are appended to the same file, flushed per topology
-// group. Lines that fail to parse are ignored (a torn final line from a
-// killed run is expected, and the unit simply re-runs).
+// JSONL file, its records are loaded first and those units are skipped.
+// Up to runner.jobs() topology groups run at once; fresh records are
+// appended to the same file group by group in expansion order, flushed
+// per group. If a group fails to materialize or profile, the jobs in
+// flight finish, the file holds exactly the groups before it, and the
+// error is rethrown. Lines that fail to parse are ignored (a torn final
+// line from a killed run is expected, and the unit simply re-runs).
 campaign_report run_campaign(const campaign_spec& spec, scenario_runner& runner);
 
 }  // namespace anole

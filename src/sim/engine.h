@@ -347,8 +347,10 @@ public:
     // node's own contiguous out-slots — no engine round-trip, no table
     // lookup, no scattered write — with cost counters kept right here in
     // the (stack-hot) context and folded into the round totals after
-    // on_round returns.
-    void send(port_id p, Msg m) {
+    // on_round returns. An rvalue is moved into its slot once; an lvalue
+    // is copied, then moved.
+    void send(port_id p, const Msg& m) { send(p, Msg(m)); }
+    void send(port_id p, Msg&& m) {
         if constexpr (congest_guard_checks) {
             require(p < degree_, "node_ctx::send: port out of range");
         }

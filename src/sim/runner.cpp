@@ -1,6 +1,8 @@
 #include "sim/runner.h"
 
 #include <cmath>
+#include <deque>
+#include <exception>
 #include <set>
 #include <utility>
 
@@ -177,7 +179,7 @@ std::size_t scenario_runner::cached_profiles() const {
 
 // --- scenario execution ------------------------------------------------------
 
-scenario_result scenario_runner::prepare(const scenario& s) {
+scenario_result scenario_runner::make_result(const scenario& s) {
     scenario_result out;
     out.kind = kind_of(s.algo);
     out.topology = &materialize(s.topology);
@@ -195,38 +197,128 @@ scenario_result scenario_runner::run(const scenario& s) {
 
 std::vector<scenario_result> scenario_runner::run_batch(
     const std::vector<scenario>& batch) {
-    std::vector<scenario_result> results(batch.size());
+    std::vector<scenario_result> results;
+    run_stream(
+        1, [&](std::size_t) { return batch; },
+        [&](std::size_t, std::vector<scenario_result> done) { results = std::move(done); });
+    return results;
+}
 
-    // Stage 1: materialize every topology (cheap, sequential, dedups via
-    // the cache), then profile the distinct ones in parallel — spectral +
-    // mixing estimation dominates sweep start-up cost.
-    std::vector<const graph*> order;
-    std::set<const graph*> distinct;
-    for (const auto& s : batch) {
-        const graph* g = &materialize(s.topology);
-        if (distinct.insert(g).second) order.push_back(g);
+// --- streaming batches -------------------------------------------------------
+
+// One admitted batch. `remaining` counts its preparation job plus one job
+// per (scenario, repetition); the job that takes it to zero marks the batch
+// done. remaining and done are guarded by stream_mu_.
+struct scenario_runner::stream_batch {
+    std::vector<scenario> scenarios;
+    std::vector<scenario_result> results;
+    std::exception_ptr error;
+    std::size_t remaining = 1;
+    bool done = false;
+};
+
+void scenario_runner::finish_job(stream_batch& b) {
+    // Notifying under the lock: once the waiter sees `done`, no job
+    // touches b again.
+    std::unique_lock<std::mutex> lk(stream_mu_);
+    if (--b.remaining == 0) {
+        b.done = true;
+        stream_cv_.notify_all();
     }
-    pool_.parallel_for(order.size(),
-                       [&](std::size_t i) { (void)profile_for(*order[i]); });
+}
 
-    // Stage 2: every (scenario, repetition) pair is one pool job.
-    for (std::size_t i = 0; i < batch.size(); ++i) results[i] = prepare(batch[i]);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        for (std::size_t r = 0; r < results[i].runs.size(); ++r) {
-            pool_.submit([this, &batch, &results, i, r] {
-                // Engines built inside the drivers inherit the ambient
-                // parallelism; rounds shard over this same pool (helping
-                // waits make the nesting deadlock-free).
-                scoped_engine_parallelism par(
-                    engine_parallelism{&pool_, node_jobs_});
-                results[i].runs[r] = run_once(*results[i].topology, results[i].profile,
-                                              batch[i].algo, batch[i].seed + r,
-                                              batch[i].dynamics);
+void scenario_runner::prepare_batch(stream_batch& b, const batch_prepare& prepare,
+                                    std::size_t index) {
+    // (scenario, repetition) pairs to submit. Kept here, not read back
+    // from b, because b may be consumed as soon as the last one finishes.
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    try {
+        b.scenarios = prepare(index);
+        // Materialize every topology (dedups via the cache), then profile
+        // the distinct ones in parallel — spectral + mixing estimation
+        // dominates a cold batch. parallel_for helps, so it is safe here.
+        std::vector<const graph*> order;
+        std::set<const graph*> distinct;
+        for (const auto& s : b.scenarios) {
+            const graph* g = &materialize(s.topology);
+            if (distinct.insert(g).second) order.push_back(g);
+        }
+        std::vector<std::exception_ptr> failed(order.size());
+        pool_.parallel_for(order.size(), [&](std::size_t i) {
+            try {
+                (void)profile_for(*order[i]);
+            } catch (...) {
+                failed[i] = std::current_exception();
+            }
+        });
+        for (const std::exception_ptr& e : failed) {
+            if (e) std::rethrow_exception(e);
+        }
+        b.results.reserve(b.scenarios.size());
+        for (std::size_t i = 0; i < b.scenarios.size(); ++i) {
+            b.results.push_back(make_result(b.scenarios[i]));
+            for (std::size_t r = 0; r < b.results[i].runs.size(); ++r) runs.emplace_back(i, r);
+        }
+    } catch (...) {
+        b.error = std::current_exception();
+        runs.clear();
+    }
+    {
+        std::unique_lock<std::mutex> lk(stream_mu_);
+        b.remaining += runs.size();
+    }
+    for (const auto& [i, r] : runs) {
+        pool_.submit([this, &b, i, r] {
+            // Engines built inside the drivers inherit the ambient
+            // parallelism; rounds shard over this same pool (helping
+            // waits make the nesting deadlock-free).
+            scoped_engine_parallelism par(engine_parallelism{&pool_, node_jobs_});
+            const scenario& s = b.scenarios[i];
+            scenario_result& res = b.results[i];
+            res.runs[r] = run_once(*res.topology, res.profile, s.algo, s.seed + r,
+                                   s.dynamics);
+            finish_job(b);
+        });
+    }
+    finish_job(b);
+}
+
+void scenario_runner::run_stream(std::size_t count, const batch_prepare& prepare,
+                                 const batch_consume& consume) {
+    // Admitted, not yet consumed, in index order. A deque keeps the
+    // elements the jobs hold references to in place as it grows.
+    std::deque<stream_batch> flight;
+    std::size_t admitted = 0;
+    const auto wait_done = [&](const stream_batch& b) {
+        std::unique_lock<std::mutex> lk(stream_mu_);
+        stream_cv_.wait(lk, [&] { return b.done; });
+    };
+
+    std::exception_ptr failure;
+    for (std::size_t next = 0; next < count; ++next) {
+        for (; admitted < count && admitted < next + jobs(); ++admitted) {
+            stream_batch& b = flight.emplace_back();
+            pool_.submit([this, &b, &prepare, index = admitted] {
+                prepare_batch(b, prepare, index);
             });
         }
+        stream_batch& b = flight.front();
+        wait_done(b);
+        failure = b.error;
+        if (!failure) {
+            try {
+                consume(next, std::move(b.results));
+            } catch (...) {
+                failure = std::current_exception();
+            }
+        }
+        if (failure) break;
+        flight.pop_front();
     }
-    pool_.wait();
-    return results;
+    if (failure) {
+        for (const stream_batch& b : flight) wait_done(b);
+        std::rethrow_exception(failure);
+    }
 }
 
 }  // namespace anole

@@ -50,6 +50,31 @@ TEST(Graph, RejectsOutOfRange) {
     EXPECT_THROW(graph(2, {{0, 5}}), error);
 }
 
+TEST(Graph, FirstOffendingEdgeNamesTheError) {
+    // Edges are checked in input order: the first edge that is out of
+    // range, a self-loop or a repeat of an earlier edge names the error.
+    const auto message = [](std::size_t n,
+                            std::vector<std::pair<node_id, node_id>> edges) {
+        try {
+            (void)graph(n, edges);
+        } catch (const error& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    const std::string range = "graph: edge endpoint out of range";
+    const std::string loop = "graph: self-loops not allowed";
+    const std::string parallel = "graph: parallel edges not allowed";
+    EXPECT_EQ(message(3, {{0, 1}, {1, 0}, {0, 5}}), parallel);
+    EXPECT_EQ(message(3, {{0, 5}, {0, 1}, {1, 0}}), range);
+    EXPECT_EQ(message(3, {{0, 1}, {1, 1}, {1, 0}}), loop);
+    EXPECT_EQ(message(3, {{0, 1}, {2, 2}, {9, 0}}), loop);
+    EXPECT_EQ(message(3, {{0, 7}, {0, 0}}), range);
+    EXPECT_EQ(message(3, {{0, 1}, {0, 2}, {2, 0}, {1, 1}}), parallel);
+    EXPECT_EQ(message(4, {{3, 1}, {0, 2}, {2, 3}, {1, 3}}), parallel);
+    EXPECT_EQ(message(3, {{0, 1}, {1, 2}}), "no error");
+}
+
 TEST(Graph, RejectsDisconnected) {
     EXPECT_THROW(graph(4, {{0, 1}, {2, 3}}), error);
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -357,6 +358,74 @@ TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
 
     // Mismatched spans are a programming error.
     EXPECT_THROW((void)layout_svg(g, std::vector<layout_point>(3)), error);
+}
+
+// layout_svg as it was written with snprintf("%.1f") for every number.
+std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts,
+                         const layout_svg_options& opt) {
+    const double w = opt.width, h = opt.height, m = opt.margin;
+    const auto sx = [&](double x) { return m + x * (w - 2 * m); };
+    const auto sy = [&](double y) { return m + y * (h - 2 * m); };
+    const auto stride = [](std::size_t count, std::size_t cap) {
+        return cap == 0 ? std::size_t{1}
+                        : std::max<std::size_t>(1, (count + cap - 1) / cap);
+    };
+    std::string out;
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 %.0f %.0f\" "
+                  "width=\"%.0f\" height=\"%.0f\" role=\"img\">",
+                  w, h, w, h);
+    out += buf;
+    const auto edges = g.edge_list();
+    std::snprintf(buf, sizeof buf,
+                  "<g class=\"ge\" stroke=\"%s\" stroke-width=\"0.7\" "
+                  "stroke-opacity=\"0.55\">",
+                  opt.edge_color.c_str());
+    out += buf;
+    for (std::size_t i = 0; i < edges.size(); i += stride(edges.size(), opt.max_edges)) {
+        const auto [u, v] = edges[i];
+        std::snprintf(buf, sizeof buf,
+                      "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\"/>",
+                      sx(pts[u].x), sy(pts[u].y), sx(pts[v].x), sy(pts[v].y));
+        out += buf;
+    }
+    out += "</g>";
+    std::snprintf(buf, sizeof buf, "<g class=\"gn\" fill=\"%s\">",
+                  opt.node_color.c_str());
+    out += buf;
+    for (std::size_t u = 0; u < pts.size(); u += stride(pts.size(), opt.max_nodes)) {
+        std::snprintf(buf, sizeof buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\"/>",
+                      sx(pts[u].x), sy(pts[u].y), opt.node_radius);
+        out += buf;
+    }
+    out += "</g></svg>";
+    return out;
+}
+
+TEST(LayoutSvg, NumbersMatchSnprintfByteForByte) {
+    layout_options quick;
+    quick.iterations = 20;
+    layout_svg_options odd;  // sizes whose scaled coordinates hit .x5 ties
+    odd.width = 333;
+    odd.height = 101;
+    odd.margin = 0.25;
+    odd.node_radius = 0.05;
+    odd.max_edges = 0;
+    for (const auto& [family, n] :
+         {std::pair{graph_family::wheel, 16}, {graph_family::torus, 100},
+          {graph_family::watts_strogatz, 256}, {graph_family::erdos_renyi, 1024},
+          {graph_family::connected_caveman, 300}}) {
+        const graph g = make_family(family, static_cast<std::size_t>(n), 1);
+        const std::vector<layout_point> pts = force_layout(g, quick);
+        EXPECT_EQ(layout_svg(g, pts), snprintf_svg(g, pts, {})) << to_string(family);
+        EXPECT_EQ(layout_svg(g, pts, odd), snprintf_svg(g, pts, odd)) << to_string(family);
+    }
+    // Points off the unit square (negative, huge) print the same way too.
+    const graph path = make_path(4);
+    const std::vector<layout_point> wild = {
+        {-0.004, 0.0}, {-1e6, 3.25e-9}, {123456.789, -0.0}, {0.04999, 2.5e5}};
+    EXPECT_EQ(layout_svg(path, wild), snprintf_svg(path, wild, {}));
 }
 
 }  // namespace

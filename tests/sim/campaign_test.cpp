@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 namespace anole {
 namespace {
@@ -251,6 +255,169 @@ TEST(Campaign, OutputIsByteIdenticalForAnyJobCount) {
     EXPECT_EQ(ta.str(), tb.str());
     std::remove(serial_path.c_str());
     std::remove(wide_path.c_str());
+}
+
+// Twelve topology groups whose costs differ by ~100x: gilbert on the
+// 32-node graphs is slow, everything on the 8-node ones is fast, so with
+// several groups in flight later groups finish before earlier ones.
+campaign_spec skewed_spec(std::string output) {
+    campaign_spec spec;
+    spec.families = {graph_family::torus, graph_family::cycle,
+                     graph_family::hypercube, graph_family::star,
+                     graph_family::watts_strogatz, graph_family::wheel};
+    spec.sizes = {32, 8};
+    spec.variants = {algo_kind::flood_max, algo_kind::gilbert};
+    spec.seeds = 2;
+    spec.output = std::move(output);
+    return spec;
+}
+
+std::vector<std::string> lines_of(const std::string& path) {
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+}
+
+TEST(Campaign, OverlappedGroupsWriteTheSameBytesForAnyJobCount) {
+    const std::string ref_path = temp_path("overlap_ref");
+    std::remove(ref_path.c_str());
+    scenario_runner serial(1);
+    const campaign_report ref = run_campaign(skewed_spec(ref_path), serial);
+    ASSERT_EQ(ref.executed, 48u);
+    const std::string ref_bytes = slurp(ref_path);
+
+    for (const std::size_t jobs : {2, 3, 8}) {
+        const std::string path = temp_path("overlap_wide");
+        std::remove(path.c_str());
+        scenario_runner wide(jobs);
+        const campaign_report rep = run_campaign(skewed_spec(path), wide);
+        EXPECT_EQ(rep.executed, ref.executed) << "jobs " << jobs;
+        EXPECT_EQ(slurp(path), ref_bytes) << "jobs " << jobs;
+        ASSERT_EQ(rep.records.size(), ref.records.size());
+        for (std::size_t i = 0; i < rep.records.size(); ++i) {
+            EXPECT_EQ(rep.records[i].to_json(), ref.records[i].to_json()) << i;
+        }
+        std::remove(path.c_str());
+    }
+    std::remove(ref_path.c_str());
+}
+
+TEST(Campaign, ResumeWithGapsRunsOnlyTheMissingGroups) {
+    // A ledger holding groups 0 and 2 only: the resume runs groups 1 and
+    // 3…11 and appends them in expansion order after what is there.
+    const std::string full_path = temp_path("gaps_full");
+    const std::string path = temp_path("gaps");
+    std::remove(full_path.c_str());
+    std::remove(path.c_str());
+    scenario_runner first(1);
+    const campaign_report full = run_campaign(skewed_spec(full_path), first);
+    const std::vector<std::string> lines = lines_of(full_path);
+    const std::size_t group = campaign_group_size(skewed_spec(""));
+    ASSERT_EQ(lines.size(), 1 + 12 * group);  // schema header + records
+    const auto group_lines = [&](std::size_t g) {
+        std::string out;
+        for (std::size_t i = 0; i < group; ++i) out += lines[1 + g * group + i] + "\n";
+        return out;
+    };
+    const std::string kept = lines[0] + "\n" + group_lines(0) + group_lines(2);
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << kept;
+    }
+
+    scenario_runner second(3);
+    const campaign_report resumed = run_campaign(skewed_spec(path), second);
+    EXPECT_EQ(resumed.skipped, 2 * group);
+    EXPECT_EQ(resumed.executed, 10 * group);
+    EXPECT_EQ(second.cached_graphs(), 10u);  // groups 0 and 2 never materialized
+    std::string expected = kept + group_lines(1);
+    for (std::size_t g = 3; g < 12; ++g) expected += group_lines(g);
+    EXPECT_EQ(slurp(path), expected);
+    ASSERT_EQ(resumed.records.size(), full.records.size());
+    for (std::size_t i = 0; i < full.records.size(); ++i) {
+        EXPECT_EQ(resumed.records[i].to_json(), full.records[i].to_json()) << i;
+    }
+    std::remove(full_path.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(Campaign, GroupThatFailsToPrepareRethrowsAfterInFlightGroupsFinish) {
+    // Group 1 (wheel, n = 0) cannot be generated. With 4 jobs, groups
+    // 2, 3 and 4 are in flight when the failure reaches the front: the
+    // error surfaces only after they finished (their graphs and profiles
+    // are all cached), and the file holds group 0 alone.
+    const std::string path = temp_path("prepare_throws");
+    std::remove(path.c_str());
+    campaign_spec spec = tiny_spec(path);
+    spec.families = {graph_family::wheel};
+    spec.sizes = {16, 0, 24, 32, 40};
+    const std::size_t group = campaign_group_size(spec);
+
+    scenario_runner runner(4);
+    try {
+        (void)run_campaign(spec, runner);
+        ADD_FAILURE() << "expected the n = 0 group to throw";
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("n >= 1"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(runner.cached_graphs(), 4u);
+    EXPECT_EQ(runner.cached_profiles(), 4u);
+    EXPECT_EQ(lines_of(path).size(), 1 + group);
+
+    // Exactly group 0 is on file: without the bad size, a resume skips it
+    // and runs the rest.
+    spec.sizes = {16, 24, 32, 40};
+    scenario_runner again(4);
+    const campaign_report rep = run_campaign(spec, again);
+    EXPECT_EQ(rep.skipped, group);
+    EXPECT_EQ(rep.executed, 3 * group);
+    std::remove(path.c_str());
+}
+
+TEST(Campaign, OneThreadRunnerKeepsOneThreadBusy) {
+    // The stream under run_campaign on a one-thread runner: every batch is
+    // prepared on the pool's single worker, never on the caller, and no
+    // preparation overlaps another or the caller's consume.
+    scenario_runner runner(1);
+    std::mutex mu;
+    std::size_t busy = 0, max_busy = 0;
+    std::set<std::thread::id> preparers;
+    std::vector<std::size_t> consumed;
+    const auto enter = [&] {
+        std::lock_guard<std::mutex> lk(mu);
+        max_busy = std::max(max_busy, ++busy);
+    };
+    const auto leave = [&] {
+        std::lock_guard<std::mutex> lk(mu);
+        --busy;
+    };
+    runner.run_stream(
+        6,
+        [&](std::size_t b) {
+            enter();
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                preparers.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            std::vector<scenario> batch(1);
+            batch[0].topology = family_spec{graph_family::cycle, 8 + b, 1};
+            batch[0].repetitions = 2;
+            leave();
+            return batch;
+        },
+        [&](std::size_t b, std::vector<scenario_result> results) {
+            enter();
+            consumed.push_back(b);
+            EXPECT_EQ(results.size(), 1u);
+            EXPECT_EQ(results[0].runs.size(), 2u);
+            leave();
+        });
+    EXPECT_EQ(max_busy, 1u);
+    ASSERT_EQ(preparers.size(), 1u);
+    EXPECT_NE(*preparers.begin(), std::this_thread::get_id());
+    EXPECT_EQ(consumed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Campaign, VariantNamesParseIncludingAliases) {
