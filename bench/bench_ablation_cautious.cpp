@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
     emit(t, opt, "E11: cautious-broadcast ablation (cap = 8*tmix*phi)");
     std::printf("\nShape checks: 'literal' pays a large msgs/territory factor"
-                "\n(every-round size reports — the deviation DESIGN.md documents);"
+                "\n(every-round size reports — docs/ALGORITHMS.md deviation 1);"
                 "\n'no cap' grows the territory unboundedly; 'naive' reaches"
                 "\neveryone but costs >= m messages. 'prose' keeps messages"
                 "\nnear-linear in territory (Lemma 1).\n");

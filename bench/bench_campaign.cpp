@@ -58,8 +58,11 @@ namespace {
         "    [--worker ID [--lease-ttl N] | --merge] [--report FILE.html]\n"
         "families: any graph_family name or alias (ws, ba, rgg, caveman,\n"
         "er, grid, tree); variants: flood_max|flood, gilbert, irrevocable,\n"
-        "revocable, cautious_broadcast|cautious; dynamics: static, rewire,\n"
-        "churn, loss, crash, sleep, storm, or 'all' (docs/DYNAMICS.md).\n");
+        "revocable, cautious_broadcast|cautious;\ndynamics:");
+    for (const auto& preset : all_dynamics_presets()) {
+        std::printf(" %s,", preset.first.c_str());
+    }
+    std::printf(" or 'all' (docs/DYNAMICS.md).\n");
     std::exit(code);
 }
 

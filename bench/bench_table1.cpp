@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     // expensive spectral + mixing step) before fanning the runs out.
     auto results = runner.run_batch(batch);
 
-    // Rows D/E: revocable (scaled policy; see DESIGN.md substitutions)
+    // Rows D/E: revocable (scaled policy; see docs/ALGORITHMS.md deviations)
     // only on small well-connected graphs — poly(n)·m message volume is
     // intrinsic (Theorem 3's content), and blind-mode diffusion
     // additionally grows with 1/i_eff² (Corollary 1). The dedicated sweep

@@ -16,7 +16,7 @@
 // Results are deterministic in the seed set — the ScenarioRunner
 // (src/sim/runner.h) derives every repetition's randomness from
 // scenario.seed + r, so --jobs only changes wall-clock time, never
-// numbers. EXPERIMENTS.md records the default-mode outputs.
+// numbers. docs/BENCHMARKS.md describes each bench's default mode.
 #pragma once
 
 #include <charconv>

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
                 mesh.num_nodes(), mesh.num_edges());
 
     // Scaled parameter policy (the faithful Theorem 3 lengths are
-    // poly(n^8) rounds — see DESIGN.md); same control flow and functional
+    // poly(n^8) rounds — see docs/ALGORITHMS.md §5.2 and "Documented
+    // deviations"); same control flow and functional
     // forms, shorter phases.
     anole::revocable_cfg cfg;
     cfg.params = anole::revocable_params::scaled(std::nullopt, 0.02, 0.12);

@@ -6,7 +6,7 @@
 // standard trick in anonymous networks with known n) and the maximum is
 // flooded for diameter-many rounds; the unique maximum raises the flag.
 //
-// Substitution note (DESIGN.md): [16]'s O(m)-expected-message algorithm
+// Substitution note (docs/ALGORITHMS.md, baselines): [16]'s O(m)-expected-message algorithm
 // uses referee subsampling we do not reproduce; change-triggered flooding
 // is the textbook comparator with the same Θ(m)-per-wave message shape
 // and O(D) time, which is what the Table 1 / E4 experiments compare

@@ -2,7 +2,7 @@
 // (PODC 2018 [10]: O(tmix·√n·log^{7/2} n) messages, the comparator that
 // Theorem 1 improves on).
 //
-// Substitution note (DESIGN.md): we do not have [10]'s text; this module
+// Substitution note (docs/ALGORITHMS.md, baselines): we do not have [10]'s text; this module
 // implements the structure as summarized *in the reproduced paper*:
 // random-ID candidates spread tokens by random walks, and walk sets of
 // different candidates meet whp on well-connected graphs ("territories

@@ -140,8 +140,10 @@ std::optional<port_id> cb_exec::random_avail_port(xoshiro256ss& rng) {
 }
 
 cb_result run_cautious(const graph& g, const cb_config& cfg, std::uint64_t rounds,
-                       std::uint64_t source_id, std::uint64_t seed,
-                       congest_budget budget, const dynamics_spec& dynamics) {
+                       std::uint64_t seed, congest_budget budget,
+                       const dynamics_spec& dynamics) {
+    // The source's ID; its bit width enters every source message's cost.
+    constexpr std::uint64_t source_id = 4242;
     return run_protocol<cautious_broadcast_node, cb_result>(
         g, seed, budget, dynamics,
         [&](std::size_t u) {

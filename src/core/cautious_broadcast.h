@@ -280,11 +280,10 @@ struct cb_result : run_outcome {
     std::size_t territory = 0;  // live nodes in the source's tree
 };
 
-// Node 0 is the source (ID `source_id`); everything else starts passive.
+// Node 0 is the source (ID 4242); everything else starts passive.
 // Runs `rounds` logical rounds, then every node halts.
 [[nodiscard]] cb_result run_cautious(const graph& g, const cb_config& cfg,
-                                     std::uint64_t rounds, std::uint64_t source_id,
-                                     std::uint64_t seed,
+                                     std::uint64_t rounds, std::uint64_t seed,
                                      congest_budget budget =
                                          congest_budget::strict_log(16),
                                      const dynamics_spec& dynamics = {});

@@ -90,7 +90,7 @@ public:
     irrevocable_node(std::size_t degree, const irrevocable_params& params)
         : degree_(degree),
           p_(&params),
-          cfg_{.cap = params.territory_cap(), .throttle = params.cautious_throttle} {}
+          cfg_{.cap = params.territory_cap()} {}
 
     void on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox);
 

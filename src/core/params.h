@@ -13,7 +13,8 @@
 //     the network in blind mode; optionally knows i(G) (Theorem 3 vs
 //     Corollary 1). Provides the paper-faithful functional forms f(k),
 //     p(k), r(k), τ(k) and optional scaling knobs for tractable sweeps
-//     (documented substitution — see DESIGN.md §2).
+//     (documented substitution — see docs/ALGORITHMS.md, "Documented
+//     deviations" item 4).
 #pragma once
 
 #include <algorithm>
@@ -40,11 +41,8 @@ struct irrevocable_params {
     double cand_c = 1.0;      // candidate probability = cand_c·log2(n)/n
 
     // --- ablation knobs ---
-    double x_mult = 1.0;            // scales x (E12 sweeps this)
-    std::uint64_t x_override = 0;   // if nonzero, x is exactly this
-    double walk_len_mult = 1.0;     // scales the walk length (E12)
-    bool cautious_cap = true;       // disable => unbounded territories (E11)
-    bool cautious_throttle = true;  // disable doubling thresholds (E11)
+    double x_mult = 1.0;         // scales x (E12 sweeps this)
+    double walk_len_mult = 1.0;  // scales the walk length (E12)
 
     [[nodiscard]] double log2n() const { return std::log2(static_cast<double>(n)); }
 
@@ -64,7 +62,6 @@ struct irrevocable_params {
     // x = Θ̃(√(n log n / (Φ tmix))) — number of walks per candidate
     // (fixed before Lemma 2).
     [[nodiscard]] std::uint64_t x() const {
-        if (x_override != 0) return x_override;
         const double v = std::sqrt(static_cast<double>(n) * log2n() /
                                    (phi * static_cast<double>(tmix)));
         return std::max<std::uint64_t>(
@@ -80,7 +77,6 @@ struct irrevocable_params {
 
     // Cautious-broadcast territory cap x·tmix·Φ (Algorithm 4 line 2).
     [[nodiscard]] std::uint64_t territory_cap() const {
-        if (!cautious_cap) return UINT64_MAX;
         const double v = static_cast<double>(x()) * static_cast<double>(tmix) * phi;
         return std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(v)));
     }
@@ -141,7 +137,7 @@ struct revocable_params {
     // double (fast, ablation E9).
     bool exact_potentials = true;
 
-    // --- scaled-policy knobs (see DESIGN.md substitutions) ---
+    // --- scaled-policy knobs (docs/ALGORITHMS.md, "Documented deviations") ---
     // Multipliers < 1 shrink the phase lengths below the proven bounds;
     // floors keep phases non-degenerate. paper_faithful() leaves these 1.
     double r_scale = 1.0;  // diffusion rounds

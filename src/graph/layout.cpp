@@ -324,6 +324,8 @@ void relax(const level& lv, std::vector<layout_point>& pts, std::size_t iters, d
     // Small enough that a 1024-node thumbnail spreads over a 4-thread
     // pool; 256 tree walks per block still dwarf one job's queueing cost.
     constexpr std::size_t kBlock = 256;
+    // Barnes–Hut opening angle; larger = faster/coarser, 0 = exact.
+    constexpr double kTheta = 0.85;
     const std::size_t blocks = (n + kBlock - 1) / kBlock;
 
     for (std::size_t it = 0; it < iters; ++it) {
@@ -336,7 +338,7 @@ void relax(const level& lv, std::vector<layout_point>& pts, std::size_t iters, d
             scratch.reserve(128);
             const std::size_t lo = b * kBlock, hi = std::min(lo + kBlock, n);
             for (std::size_t u = lo; u < hi; ++u) {
-                layout_point f = tree.repulsion(pts[u], u, k, opt.theta, scratch);
+                layout_point f = tree.repulsion(pts[u], u, k, kTheta, scratch);
                 for (std::size_t e = lv.offsets[u]; e < lv.offsets[u + 1]; ++e) {
                     const node_id v = lv.nbr[e];
                     const double dx = pts[u].x - pts[v].x;
@@ -507,11 +509,10 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
 
     const auto edges = g.edge_list();
     const std::size_t estride = sample_stride(edges.size(), opt.max_edges);
-    std::snprintf(buf, sizeof buf,
-                  "<g class=\"ge\" stroke=\"%s\" stroke-width=\"0.7\" "
-                  "stroke-opacity=\"0.55\">",
-                  opt.edge_color.c_str());
-    out += buf;
+    // Presentation attributes; the report's stylesheet overrides them via
+    // the "ge"/"gn" classes so thumbnails follow light/dark mode.
+    out += "<g class=\"ge\" stroke=\"#c3c2b7\" stroke-width=\"0.7\" "
+           "stroke-opacity=\"0.55\">";
     for (std::size_t i = 0; i < edges.size(); i += estride) {
         const auto [u, v] = edges[i];
         out += "<line";
@@ -524,9 +525,7 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     out += "</g>";
 
     const std::size_t nstride = sample_stride(pts.size(), opt.max_nodes);
-    std::snprintf(buf, sizeof buf, "<g class=\"gn\" fill=\"%s\">",
-                  opt.node_color.c_str());
-    out += buf;
+    out += "<g class=\"gn\" fill=\"#2a78d6\">";
     for (std::size_t u = 0; u < pts.size(); u += nstride) {
         out += "<circle";
         append_attr(out, " cx", sx(pts[u].x));

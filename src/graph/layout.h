@@ -103,8 +103,6 @@ struct layout_options {
     // 32768 / above) when the graph never coarsens, else a short refining
     // budget (15/8/5). Coarser levels always take their auto budgets.
     std::size_t iterations = 0;
-    // Barnes–Hut opening angle; larger = faster/coarser. 0 = exact.
-    double theta = 0.85;
     std::uint64_t seed = 1;
     // Shards the per-node force pass; nullptr = serial. Bitwise-identical
     // results for every pool size.
@@ -141,10 +139,6 @@ struct layout_svg_options {
     std::size_t max_edges = 4000;
     std::size_t max_nodes = 20000;
     double node_radius = 1.6;
-    // Presentation attributes; the report's stylesheet overrides them via
-    // the "ge"/"gn" classes so thumbnails follow light/dark mode.
-    std::string edge_color = "#c3c2b7";
-    std::string node_color = "#2a78d6";
 };
 
 // One self-contained <svg> element (no external references).

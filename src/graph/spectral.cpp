@@ -55,9 +55,9 @@ std::uint64_t mix_from(const graph& g, node_id src, const std::vector<double>& t
     }
 }
 
-// The shared start heuristic: BFS-farthest pair, min/max degree, randoms.
-std::vector<node_id> extremal_starts(const graph& g, std::uint64_t seed,
-                                     std::size_t extra_starts) {
+// The shared start heuristic: BFS-farthest pair, min/max degree, and
+// four random nodes.
+std::vector<node_id> extremal_starts(const graph& g, std::uint64_t seed) {
     const auto d0 = bfs_distances(g, 0);
     const node_id a = static_cast<node_id>(std::max_element(d0.begin(), d0.end()) -
                                            d0.begin());
@@ -71,7 +71,7 @@ std::vector<node_id> extremal_starts(const graph& g, std::uint64_t seed,
     }
     std::vector<node_id> starts = {0, a, b, dmin, dmax};
     xoshiro256ss rng(derive_seed(seed, g.num_nodes(), 0x317));
-    for (std::size_t i = 0; i < extra_starts; ++i) {
+    for (int i = 0; i < 4; ++i) {
         starts.push_back(static_cast<node_id>(rng.below(g.num_nodes())));
     }
     std::sort(starts.begin(), starts.end());
@@ -102,7 +102,7 @@ std::uint64_t mixing_time_simulated(const graph& g, const mixing_time_options& o
         starts.resize(g.num_nodes());
         std::iota(starts.begin(), starts.end(), 0);
     } else {
-        starts = extremal_starts(g, opt.seed, opt.extra_starts);
+        starts = extremal_starts(g, opt.seed);
     }
 
     std::vector<std::uint64_t> per_start(starts.size(), 0);
@@ -180,7 +180,7 @@ std::uint64_t mixing_time_sampled(const graph& g, const sampled_mixing_options& 
     const auto target = walk_stationary(g);
     const double eps = 1.0 / (2.0 * static_cast<double>(g.num_nodes()));
     const std::uint64_t tokens = opt.tokens != 0 ? opt.tokens : auto_tokens(g);
-    const auto starts = extremal_starts(g, opt.seed, opt.extra_starts);
+    const auto starts = extremal_starts(g, opt.seed);
 
     std::vector<std::uint64_t> per_start(starts.size(), 0);
     for_each_start(starts.size(), opt.pool, [&](std::size_t i) {

@@ -52,9 +52,8 @@ class thread_pool;  // sim/thread_pool.h; borrowed, never owned
 struct mixing_time_options {
     // If true, try every point-mass start (exact per the §2 definition);
     // otherwise only extremal starts (double-sweep endpoints, min/max
-    // degree nodes, plus `extra_starts` random ones).
+    // degree nodes, plus four random ones).
     bool exhaustive_starts = false;
-    std::size_t extra_starts = 4;
     std::uint64_t seed = 1;
     // Hard cap on simulated steps per start (throws anole::error beyond it).
     std::uint64_t max_steps = 50'000'000;
@@ -77,7 +76,6 @@ struct sampled_mixing_options {
     // K = O(n); the estimator's per-step cost O(n + min(K, 2m)) then beats
     // the dense path's O(m) floats whenever m ≫ n.
     std::uint64_t tokens = 0;
-    std::size_t extra_starts = 4;
     std::uint64_t seed = 1;
     // Hard cap on steps per start (throws anole::error beyond it).
     std::uint64_t max_steps = 50'000'000;

@@ -1,9 +1,9 @@
 // anole — dynamic / adversarial network layer.
 //
-// The paper's title says *dynamic* distributed computing, but until this
-// layer every scenario ran on a static graph. A `dynamics_spec` attached
-// to a scenario composes per-round adversary events that the engine
-// applies at each round boundary, before delivery:
+// The paper analyses static anonymous networks; this layer stresses its
+// protocols beyond that model. A `dynamics_spec` attached to a scenario
+// composes per-round adversary events that the engine applies at each
+// round boundary, before delivery:
 //
 //   * port re-wiring — the anonymity adversary. graph::with_permuted_ports
 //     permutes every node's port labels exactly once, at construction;
@@ -196,8 +196,8 @@ struct dynamics_spec {
     friend bool operator==(const dynamics_spec&, const dynamics_spec&) = default;
 };
 
-// Named presets for CLI axes (bench_dynamics, bench_campaign --dynamics):
-// static, rewire, churn, loss, crash, sleep, storm. nullopt for unknown.
+// Named presets for CLI axes (bench_dynamics, bench_campaign --dynamics);
+// all_dynamics_presets() lists every name. nullopt for unknown.
 [[nodiscard]] std::optional<dynamics_spec> dynamics_preset(std::string_view name);
 [[nodiscard]] std::vector<std::pair<std::string, dynamics_spec>> all_dynamics_presets();
 

@@ -63,9 +63,9 @@
 // Because every slot has a unique writer and every node draws from a
 // private RNG stream, rounds can also be sharded across a thread pool
 // with results bitwise-identical to serial execution — see
-// set_parallelism() / engine_parallelism below ("--node-jobs" in the
-// benches). Per-shard cost counters are reduced deterministically after
-// the barrier.
+// scoped_engine_parallelism below ("--node-jobs" in the benches).
+// Per-shard cost counters are reduced deterministically after the
+// barrier.
 //
 // Cost accounting (sim/metrics.h): every send tallies one message and its
 // exact bit size; budget policies (sim/budget.h) reject or fragment
@@ -289,9 +289,11 @@ private:
 // single-writer slot layout plus per-node RNG streams make the sharded
 // round bitwise-identical to the serial one, so this is purely a
 // wall-clock knob for large instances — orthogonal to the runner's
-// repetition-level `--jobs`. The ambient (thread-local) default lets the
-// ScenarioRunner plumb `--node-jobs` to engines constructed deep inside
-// the algorithm drivers without threading a parameter through every one.
+// repetition-level `--jobs`. The setting is ambient (thread-local), set
+// only through scoped_engine_parallelism and read once by each engine's
+// constructor. That lets the ScenarioRunner plumb `--node-jobs` to engines
+// constructed deep inside the algorithm drivers without threading a
+// parameter through every one.
 
 struct engine_parallelism {
     thread_pool* pool = nullptr;  // borrowed; nullptr => engine owns workers
@@ -454,15 +456,6 @@ public:
 
     engine(const engine&) = delete;
     engine& operator=(const engine&) = delete;
-
-    // Overrides the ambient parallelism for this engine: shard rounds
-    // `node_jobs` ways over `pool` (nullptr = engine-owned workers).
-    void set_parallelism(thread_pool* pool, std::size_t node_jobs) {
-        par_.pool = pool;
-        par_.node_jobs = node_jobs;
-        owned_pool_.reset();
-    }
-    [[nodiscard]] std::size_t node_jobs() const noexcept { return par_.node_jobs; }
 
     // Attaches the dynamic-network adversary (sim/dynamics.h). Must be
     // called before the first step(); the whole event schedule is a pure
@@ -864,7 +857,7 @@ private:
     const graph& g_;
     congest_budget budget_;
     std::uint64_t budget_bits_;
-    engine_parallelism par_;
+    const engine_parallelism par_;  // the ambient value at construction
     std::unique_ptr<thread_pool> owned_pool_;
     // The reverse directed edge's slot: where the other end of (u, p)
     // stages its messages, so inbox gathers are one table load. The

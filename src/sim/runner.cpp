@@ -33,20 +33,14 @@ revocable_params scenario_runner::fill(const revocable_cfg& c,
     return p;
 }
 
-cautious_cfg scenario_runner::fill(cautious_cfg c, const graph_profile& prof) {
+cb_config scenario_runner::fill(const cautious_cfg& c, const graph_profile& prof) {
+    cb_config cfg = c.config;
     if (c.cap_x > 0) {
         const double cap = c.cap_x * static_cast<double>(prof.mixing_time) *
                            prof.conductance;
-        c.config.cap =
-            std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(cap)));
+        cfg.cap = std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(cap)));
     }
-    if (c.rounds == 0) {
-        c.rounds = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(prof.mixing_time) *
-                   std::log2(static_cast<double>(std::max<std::size_t>(prof.n, 2)))));
-    }
-    return c;
+    return cfg;
 }
 
 // --- one repetition ----------------------------------------------------------
@@ -57,28 +51,26 @@ run_record scenario_runner::run_once(const graph& g, const graph_profile& prof,
     run_record rec;
     rec.seed = seed;
     try {
-        if (const auto* f = std::get_if<flood_cfg>(&cfg)) {
-            const std::uint64_t d = f->diameter != 0 ? f->diameter : prof.diameter;
-            rec.detail = run_flood_max(
-                g, d, seed, f->budget.value_or(congest_budget::strict_log(16)),
-                dynamics);
+        if (std::holds_alternative<flood_cfg>(cfg)) {
+            rec.detail = run_flood_max(g, prof.diameter, seed,
+                                       congest_budget::strict_log(16), dynamics);
         } else if (const auto* gb = std::get_if<gilbert_cfg>(&cfg)) {
-            rec.detail = run_gilbert(
-                g, fill(gb->params, prof), seed,
-                gb->budget.value_or(congest_budget::fragmenting(16)), dynamics);
+            rec.detail = run_gilbert(g, fill(gb->params, prof), seed,
+                                     congest_budget::fragmenting(16), dynamics);
         } else if (const auto* ir = std::get_if<irrevocable_cfg>(&cfg)) {
-            rec.detail = run_irrevocable(
-                g, fill(ir->params, prof), seed,
-                ir->budget.value_or(congest_budget::strict_log(16)), dynamics);
+            rec.detail = run_irrevocable(g, fill(ir->params, prof), seed,
+                                         congest_budget::strict_log(16), dynamics);
         } else if (const auto* rv = std::get_if<revocable_cfg>(&cfg)) {
-            rec.detail = run_revocable(
-                g, fill(*rv, prof), seed, rv->max_rounds,
-                rv->budget.value_or(congest_budget::fragmenting(16)), dynamics);
+            rec.detail = run_revocable(g, fill(*rv, prof), seed, rv->max_rounds,
+                                       congest_budget::fragmenting(16), dynamics);
         } else {
-            const cautious_cfg c = fill(std::get<cautious_cfg>(cfg), prof);
-            rec.detail = run_cautious(g, c.config, c.rounds, c.source_id, seed,
-                                      c.budget.value_or(congest_budget::strict_log(16)),
-                                      dynamics);
+            // tmix·log2 n logical rounds.
+            const auto rounds = std::max<std::uint64_t>(
+                1, static_cast<std::uint64_t>(
+                       static_cast<double>(prof.mixing_time) *
+                       std::log2(static_cast<double>(std::max<std::size_t>(prof.n, 2)))));
+            rec.detail = run_cautious(g, fill(std::get<cautious_cfg>(cfg), prof), rounds,
+                                      seed, congest_budget::strict_log(16), dynamics);
         }
         rec.ok = true;
     } catch (const std::exception& e) {

@@ -7,8 +7,9 @@
 //   * profile every distinct topology once (graph/spectral.h profile();
 //     the expensive step — spectral estimation plus mixing simulation —
 //     is itself parallelized across the distinct graphs of a batch);
-//   * auto-fill zero-valued model inputs (n, tmix, Φ, D, i(G)) from the
-//     profile, exactly as the paper's algorithms are parameterized;
+//   * auto-fill zero-valued model inputs (n, tmix, Φ, i(G)) and the
+//     diameter from the profile, exactly as the paper's algorithms are
+//     parameterized;
 //   * fan repetitions and scenarios out over a thread pool (`--jobs N`
 //     in the benches; default = hardware concurrency). Results are
 //     bit-identical for every jobs value: each repetition derives its
@@ -113,8 +114,8 @@ public:
     [[nodiscard]] static gilbert_params fill(gilbert_params p, const graph_profile& prof);
     [[nodiscard]] static revocable_params fill(const revocable_cfg& c,
                                                const graph_profile& prof);
-    // Resolves cap_x into config.cap and a zero round count to tmix·log2 n.
-    [[nodiscard]] static cautious_cfg fill(cautious_cfg c, const graph_profile& prof);
+    // Resolves cap_x into config.cap.
+    [[nodiscard]] static cb_config fill(const cautious_cfg& c, const graph_profile& prof);
 
 private:
     struct stream_batch;

@@ -13,14 +13,13 @@
 //     s.repetitions = 5;
 //     scenario_result r = runner.run(s);
 //
-// Zero-valued model inputs (n, tmix, phi, diameter, i(G)) are filled in
-// from the graph's measured graph_profile by the runner — exactly the
+// Zero-valued model inputs (n, tmix, phi, i(G)) are filled in from the
+// graph's measured graph_profile by the runner — exactly the
 // `p.n = prof.n; p.tmix = ...` boilerplate the benches used to repeat.
 // Explicitly set fields always win, so ablations can override any knob.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -42,42 +41,38 @@ namespace anole {
 // --- algorithm configurations -----------------------------------------------
 
 // Table 1 row A: flood-max with known n and D.
-struct flood_cfg {
-    std::uint64_t diameter = 0;  // 0 = profile diameter
-    std::optional<congest_budget> budget;  // default strict 16·log n
-};
+// Runs for the profile's diameter under a strict 16·log n budget.
+struct flood_cfg {};
 
 // Table 1 row C: Gilbert-et-al-style random-walk election (knows n, tmix).
+// Fragmenting 16·log n budget.
 struct gilbert_cfg {
     gilbert_params params;  // n = 0 / tmix = 0 auto-filled from profile
-    std::optional<congest_budget> budget;  // default fragmenting 16·log n
 };
 
-// Table 1 row B: the paper's Irrevocable LE (knows n, tmix, Φ).
+// Table 1 row B: the paper's Irrevocable LE (knows n, tmix, Φ). Strict
+// 16·log n budget.
 struct irrevocable_cfg {
     irrevocable_params params;  // n/tmix/phi = 0 auto-filled from profile
-    std::optional<congest_budget> budget;  // default strict 16·log n
 };
 
-// Rows D/E: the paper's Revocable LE (blind, or knows i(G)).
+// Rows D/E: the paper's Revocable LE (blind, or knows i(G)). Fragmenting
+// 16·log n budget.
 struct revocable_cfg {
     revocable_params params;
     // Fill params.isoperimetric from the profile (row E) when unset.
     bool auto_isoperimetric = false;
     std::uint64_t max_rounds = 30'000'000;
-    std::optional<congest_budget> budget;  // default fragmenting 16·log n
 };
 
 // Single-source cautious broadcast (§4 Algorithm 4; the Lemma 1 harness).
-// Node 0 is the source; everything else starts passive.
+// Node 0 is the source; everything else starts passive. Runs tmix·log2 n
+// logical rounds under a strict 16·log n budget.
 struct cautious_cfg {
     cb_config config;
     // If nonzero, overrides config.cap with max(2, ⌈cap_x·tmix·Φ⌉) — the
     // paper's x·tmix·Φ territory cap with x = cap_x.
     double cap_x = 0;
-    std::uint64_t rounds = 0;  // logical rounds; 0 = tmix·log2 n
-    std::uint64_t source_id = 4242;
-    std::optional<congest_budget> budget;  // default strict 16·log n
 };
 
 using algo_config =

@@ -5,7 +5,7 @@
 // read-only graph. This pool is the batch substrate behind
 // scenario_runner and the benches' `--jobs N` flag, and — since the
 // flat-slot engine learned to shard a single round across workers
-// (engine<P>::set_parallelism, `--node-jobs`) — also the substrate for
+// (scoped_engine_parallelism, `--node-jobs`) — also the substrate for
 // intra-instance parallelism nested *inside* a pool job.
 //
 // Jobs are opaque void() callables and must not throw — the runner

@@ -3,7 +3,7 @@
 // Experiments run multiple seeds per configuration; benches report
 // mean/median/stddev/min/max and simple regressions (measured cost vs a
 // predicted asymptotic form) so the tables can show measured/predicted
-// ratios the way EXPERIMENTS.md records them.
+// ratios (docs/BENCHMARKS.md lists what each bench compares).
 #pragma once
 
 #include <cstddef>

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace anole {
 
@@ -88,26 +89,7 @@ void text_table::print_csv(std::ostream& os) const {
 }
 
 void text_table::print_json(std::ostream& os, const std::string& title) const {
-    auto quote = [&os](const std::string& s) {
-        os << '"';
-        for (char ch : s) {
-            switch (ch) {
-                case '"': os << "\\\""; break;
-                case '\\': os << "\\\\"; break;
-                case '\n': os << "\\n"; break;
-                case '\t': os << "\\t"; break;
-                default:
-                    if (static_cast<unsigned char>(ch) < 0x20) {
-                        char buf[8];
-                        std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                        os << buf;
-                    } else {
-                        os << ch;
-                    }
-            }
-        }
-        os << '"';
-    };
+    auto quote = [&os](const std::string& s) { os << '"' << json_escape(s) << '"'; };
     os << "{\"title\": ";
     quote(title);
     os << ", \"rows\": [";

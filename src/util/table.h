@@ -2,7 +2,7 @@
 //
 // Every bench binary prints (a) a human-readable aligned table mirroring
 // the paper's Table 1 row structure and (b) optionally machine-readable
-// CSV (--csv). This keeps EXPERIMENTS.md diffable against fresh runs.
+// CSV (--csv) or JSON (--json) in the schema docs/BENCHMARKS.md describes.
 #pragma once
 
 #include <initializer_list>

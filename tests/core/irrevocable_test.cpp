@@ -140,7 +140,7 @@ TEST(Irrevocable, UnderProvisionedWalksCauseDetectableFailures) {
     graph g = make_random_regular(256, 4, 11);
     auto p = params_for(g);
     p.cand_c = 0.5;       // ~4 candidates
-    p.x_override = 1;     // a single walk token per candidate
+    p.x_mult = 1e-9;      // x() clamps to 1: a single walk token per candidate
     p.walk_len_mult = 0.05;
     std::size_t multi = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {

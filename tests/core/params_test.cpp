@@ -42,18 +42,14 @@ TEST(IrrevocableParams, XFormula) {
     EXPECT_EQ(p.x(), 26u);
     p.x_mult = 2.0;
     EXPECT_EQ(p.x(), 51u);
-    p.x_override = 7;
-    EXPECT_EQ(p.x(), 7u);
 }
 
-TEST(IrrevocableParams, CapAndThrottleKnobs) {
+TEST(IrrevocableParams, TerritoryCapAboveOne) {
     irrevocable_params p;
     p.n = 256;
     p.tmix = 16;
     p.phi = 0.5;
     EXPECT_GT(p.territory_cap(), 1u);
-    p.cautious_cap = false;
-    EXPECT_EQ(p.territory_cap(), UINT64_MAX);
 }
 
 TEST(IrrevocableParams, PhaseBoundariesOrdered) {

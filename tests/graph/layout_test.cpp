@@ -378,11 +378,8 @@ std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts,
                   w, h, w, h);
     out += buf;
     const auto edges = g.edge_list();
-    std::snprintf(buf, sizeof buf,
-                  "<g class=\"ge\" stroke=\"%s\" stroke-width=\"0.7\" "
-                  "stroke-opacity=\"0.55\">",
-                  opt.edge_color.c_str());
-    out += buf;
+    out += "<g class=\"ge\" stroke=\"#c3c2b7\" stroke-width=\"0.7\" "
+           "stroke-opacity=\"0.55\">";
     for (std::size_t i = 0; i < edges.size(); i += stride(edges.size(), opt.max_edges)) {
         const auto [u, v] = edges[i];
         std::snprintf(buf, sizeof buf,
@@ -391,9 +388,7 @@ std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts,
         out += buf;
     }
     out += "</g>";
-    std::snprintf(buf, sizeof buf, "<g class=\"gn\" fill=\"%s\">",
-                  opt.node_color.c_str());
-    out += buf;
+    out += "<g class=\"gn\" fill=\"#2a78d6\">";
     for (std::size_t u = 0; u < pts.size(); u += stride(pts.size(), opt.max_nodes)) {
         std::snprintf(buf, sizeof buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\"/>",
                       sx(pts[u].x), sy(pts[u].y), opt.node_radius);

@@ -242,8 +242,8 @@ TEST(AdaptiveAdversary, BitwiseIdenticalAcrossNodeJobs) {
         spec.strategy = k;
         spec.strategy_intensity = 0.4;
         auto run = [&](std::size_t node_jobs) {
+            scoped_engine_parallelism par(engine_parallelism{nullptr, node_jobs});
             engine<flood_max_node> eng(g, 13);
-            eng.set_parallelism(nullptr, node_jobs);
             eng.set_dynamics(spec, 13);
             eng.spawn([&](std::size_t u) {
                 return flood_max_node(g.degree(static_cast<node_id>(u)),

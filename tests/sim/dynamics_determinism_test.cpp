@@ -65,8 +65,8 @@ struct run_digest {
 
 run_digest run_dynamic(const graph& g, const dynamics_spec& spec,
                        std::size_t node_jobs, std::uint64_t seed) {
+    scoped_engine_parallelism par(engine_parallelism{nullptr, node_jobs});
     engine<scrambler> eng(g, seed);
-    eng.set_parallelism(nullptr, node_jobs);
     eng.set_dynamics(spec, seed);
     eng.spawn(
         [&](std::size_t u) { return scrambler(g.degree(static_cast<node_id>(u))); });

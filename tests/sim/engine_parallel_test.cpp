@@ -61,8 +61,8 @@ struct run_digest {
 };
 
 run_digest run_scrambler(const graph& g, std::size_t node_jobs, std::uint64_t seed) {
+    scoped_engine_parallelism par(engine_parallelism{nullptr, node_jobs});
     engine<scrambler> eng(g, seed);
-    eng.set_parallelism(nullptr, node_jobs);
     eng.spawn([&](std::size_t u) { return scrambler(g.degree(static_cast<node_id>(u))); });
     run_digest d;
     d.rounds = eng.run_until_halted(1000);
@@ -113,8 +113,8 @@ TEST(EngineParallel, SharedPoolMatchesOwnedWorkers) {
     const graph g = make_torus(6, 6);
     thread_pool shared(3);
     const run_digest owned = run_scrambler(g, 3, 21);
+    scoped_engine_parallelism par(engine_parallelism{&shared, 3});
     engine<scrambler> eng(g, 21);
-    eng.set_parallelism(&shared, 3);
     eng.spawn([&](std::size_t u) { return scrambler(g.degree(static_cast<node_id>(u))); });
     run_digest d;
     d.rounds = eng.run_until_halted(1000);
@@ -156,8 +156,8 @@ private:
 
 TEST(EngineParallel, StrictBudgetViolationPropagatesFromShards) {
     const graph g = make_cycle(16);
+    scoped_engine_parallelism par(engine_parallelism{nullptr, 4});
     engine<oversender> eng(g, 1, congest_budget{budget_mode::strict, 4});  // 4 bits
-    eng.set_parallelism(nullptr, 4);
     eng.spawn([&](std::size_t u) { return oversender(g.degree(static_cast<node_id>(u))); });
     EXPECT_THROW(eng.run_rounds(1), error);
 }

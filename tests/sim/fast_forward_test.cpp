@@ -533,10 +533,9 @@ protected:
             for (const std::size_t node_jobs : {1, 4}) {
                 SCOPED_TRACE(std::string(to_string(f)) + ", node_jobs " +
                              std::to_string(node_jobs));
+                scoped_engine_parallelism par(engine_parallelism{&pool, node_jobs});
                 engine<P> fast(g, 7, budget);
                 engine<always_step<P>> stepped(g, 7, budget);
-                fast.set_parallelism(&pool, node_jobs);
-                stepped.set_parallelism(&pool, node_jobs);
                 fast.spawn([&](std::size_t u) { return proto.make(g, u); });
                 stepped.spawn(
                     [&](std::size_t u) { return always_step<P>(proto.make(g, u)); });

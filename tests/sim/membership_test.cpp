@@ -96,8 +96,8 @@ TEST(Membership, ChurnIsBitwiseIdenticalAcrossNodeJobs) {
     spec.join_prob = 0.3;
     spec.loss_prob = 0.05;
     auto digest = [&](std::size_t node_jobs) {
+        scoped_engine_parallelism par(engine_parallelism{nullptr, node_jobs});
         engine<chatterbox> eng(g, 5);
-        eng.set_parallelism(nullptr, node_jobs);
         eng.set_dynamics(spec, 5);
         eng.spawn([&](std::size_t u) {
             return chatterbox(g.degree(static_cast<node_id>(u)));

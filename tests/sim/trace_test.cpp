@@ -54,8 +54,8 @@ struct run_digest {
 run_digest run_traced(const graph& g, const dynamics_spec& spec,
                       std::uint64_t seed, std::uint64_t rounds,
                       std::size_t node_jobs = 1) {
+    scoped_engine_parallelism par(engine_parallelism{nullptr, node_jobs});
     engine<chatterbox> eng(g, seed);
-    eng.set_parallelism(nullptr, node_jobs);
     eng.set_dynamics(spec, seed);
     eng.spawn(
         [&](std::size_t u) { return chatterbox(g.degree(static_cast<node_id>(u))); });

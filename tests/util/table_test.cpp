@@ -5,6 +5,8 @@
 
 #include <sstream>
 
+#include "util/json.h"
+
 namespace anole {
 namespace {
 
@@ -59,6 +61,21 @@ TEST(Table, JsonEscapesSpecials) {
     std::ostringstream os;
     t.print_json(os, "x");
     EXPECT_NE(os.str().find("quote\\\" slash\\\\ newline\\n"), std::string::npos);
+}
+
+TEST(Table, JsonRoundTripsSpecials) {
+    const std::string title = "t\x01\"";
+    const std::string header = "h\\\x1f";
+    const std::string cell = "q\" b\\ n\n c\x02 r\r end";
+    text_table t({header});
+    t.add_row({cell});
+    std::ostringstream os;
+    t.print_json(os, title);
+    const json_value v = json_parse(os.str());
+    EXPECT_EQ(v.at("title").as_string(), title);
+    const auto& rows = v.at("rows").as_array();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].at(header).as_string(), cell);
 }
 
 TEST(Format, Fixed) {
