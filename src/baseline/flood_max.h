@@ -87,13 +87,16 @@ private:
 
 struct flood_result : run_outcome {};
 
+// Table 1 row A's CONGEST budget: strict 16·⌈log2 n⌉ bits per link and
+// round.
+inline constexpr congest_budget flood_max_budget = congest_budget::strict_log(16);
+
 // Runs flood-max with `diameter` + 1 rounds of flooding. A non-trivial
 // `dynamics` spec (sim/dynamics.h) attaches the per-round adversary; the
 // round cap still bounds the run, so faulty runs end in a verdict.
 [[nodiscard]] flood_result run_flood_max(const graph& g, std::uint64_t diameter,
                                          std::uint64_t seed,
-                                         congest_budget budget =
-                                             congest_budget::strict_log(16),
+                                         congest_budget budget = flood_max_budget,
                                          const dynamics_spec& dynamics = {});
 
 }  // namespace anole

@@ -155,6 +155,10 @@ private:
     std::vector<gl_msg> out_;
 };
 
+// Table 1 row C's CONGEST budget: fragmenting 16·⌈log2 n⌉ bits per link
+// and round (walk batches may exceed one round's bits).
+inline constexpr congest_budget gilbert_budget = congest_budget::fragmenting(16);
+
 struct gilbert_result : run_outcome {
     std::size_t num_candidates = 0;   // candidates among live nodes
     bool max_candidate_won = false;
@@ -162,8 +166,7 @@ struct gilbert_result : run_outcome {
 
 [[nodiscard]] gilbert_result run_gilbert(const graph& g, const gilbert_params& params,
                                          std::uint64_t seed,
-                                         congest_budget budget =
-                                             congest_budget::fragmenting(16),
+                                         congest_budget budget = gilbert_budget,
                                          const dynamics_spec& dynamics = {});
 
 }  // namespace anole

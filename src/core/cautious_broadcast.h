@@ -274,6 +274,10 @@ private:
 
 // --- experiment driver -------------------------------------------------------
 
+// The Lemma 1 harness's CONGEST budget: strict 16·⌈log2 n⌉ bits per link
+// and round.
+inline constexpr congest_budget cautious_budget = congest_budget::strict_log(16);
+
 // `success` means the source recruited at least one other node (the
 // source is in its own tree by construction, so territory >= 1 always).
 struct cb_result : run_outcome {
@@ -284,8 +288,7 @@ struct cb_result : run_outcome {
 // Runs `rounds` logical rounds, then every node halts.
 [[nodiscard]] cb_result run_cautious(const graph& g, const cb_config& cfg,
                                      std::uint64_t rounds, std::uint64_t seed,
-                                     congest_budget budget =
-                                         congest_budget::strict_log(16),
+                                     congest_budget budget = cautious_budget,
                                      const dynamics_spec& dynamics = {});
 
 // --- template implementation -----------------------------------------------

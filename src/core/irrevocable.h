@@ -163,6 +163,10 @@ private:
 
 // --- experiment driver -------------------------------------------------------
 
+// Table 1 row B's CONGEST budget: strict 16·⌈log2 n⌉ bits per link and
+// round (every protocol message fits; 16 is the O(log n) constant).
+inline constexpr congest_budget irrevocable_budget = congest_budget::strict_log(16);
+
 struct irrevocable_result : run_outcome {
     std::size_t num_candidates = 0;
     bool max_candidate_won = false;
@@ -174,14 +178,9 @@ struct irrevocable_result : run_outcome {
 };
 
 // Runs the full protocol on `g` with fresh per-node randomness derived
-// from `seed`. The graph outlives the call. Budget defaults to a strict
-// 16·⌈log2 n⌉ bits/link/round CONGEST budget (every protocol message fits;
-// the factor is the O(log n) constant).
-[[nodiscard]] irrevocable_result run_irrevocable(const graph& g,
-                                                 const irrevocable_params& params,
-                                                 std::uint64_t seed,
-                                                 congest_budget budget =
-                                                     congest_budget::strict_log(16),
-                                                 const dynamics_spec& dynamics = {});
+// from `seed`. The graph outlives the call.
+[[nodiscard]] irrevocable_result run_irrevocable(
+    const graph& g, const irrevocable_params& params, std::uint64_t seed,
+    congest_budget budget = irrevocable_budget, const dynamics_spec& dynamics = {});
 
 }  // namespace anole

@@ -167,6 +167,11 @@ private:
 
 // --- experiment driver -------------------------------------------------------
 
+// Rows D/E's CONGEST budget: fragmenting 16·⌈log2 n⌉ bits per link and
+// round, which charges the bit-by-bit potential transmission per Theorem
+// 3's accounting.
+inline constexpr congest_budget revocable_budget = congest_budget::fragmenting(16);
+
 // `success` additionally demands that every live node chose an ID and
 // all live views agree, before and after the verification window;
 // totals.congest_rounds is the bit-by-bit charged time.
@@ -182,14 +187,12 @@ struct revocable_result : run_outcome {
 
 // Runs until every node chose an ID, all leader views agree, and the view
 // survives one further full estimate unchanged (revocability quiescence),
-// or until params.k_cap / max_rounds. The fragmenting CONGEST budget
-// charges bit-by-bit potential transmission per Theorem 3's accounting.
+// or until params.k_cap / max_rounds.
 [[nodiscard]] revocable_result run_revocable(const graph& g,
                                              const revocable_params& params,
                                              std::uint64_t seed,
                                              std::uint64_t max_rounds = 500'000'000,
-                                             congest_budget budget =
-                                                 congest_budget::fragmenting(16),
+                                             congest_budget budget = revocable_budget,
                                              const dynamics_spec& dynamics = {});
 
 }  // namespace anole

@@ -33,14 +33,16 @@ struct congest_budget {
     std::uint64_t bits_per_round = 0;
     std::uint64_t bits_factor = 4;  // the O() constant for auto budgets
 
-    [[nodiscard]] static congest_budget unlimited() noexcept { return {}; }
-    [[nodiscard]] static congest_budget strict_log(std::uint64_t factor = 4) noexcept {
+    [[nodiscard]] static constexpr congest_budget unlimited() noexcept { return {}; }
+    [[nodiscard]] static constexpr congest_budget strict_log(
+        std::uint64_t factor = 4) noexcept {
         congest_budget b;
         b.mode = budget_mode::strict;
         b.bits_factor = factor;
         return b;
     }
-    [[nodiscard]] static congest_budget fragmenting(std::uint64_t factor = 4) noexcept {
+    [[nodiscard]] static constexpr congest_budget fragmenting(
+        std::uint64_t factor = 4) noexcept {
         congest_budget b;
         b.mode = budget_mode::fragment;
         b.bits_factor = factor;

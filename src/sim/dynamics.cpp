@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <queue>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "util/json.h"
 
@@ -32,18 +34,44 @@ std::optional<adaptive_kind> adaptive_from_string(std::string_view s) {
 
 // --- declaration ------------------------------------------------------------
 
+namespace {
+
+// Every knob once, in to_json's key order: the JSON key and the member it
+// reads and writes. to_json, dynamics_from_json and validate all walk it.
+using knob_member =
+    std::variant<double dynamics_spec::*, std::uint64_t dynamics_spec::*,
+                 bool dynamics_spec::*, adaptive_kind dynamics_spec::*,
+                 std::string dynamics_spec::*>;
+constexpr std::pair<const char*, knob_member> knobs[] = {
+    {"rewire_prob", &dynamics_spec::rewire_prob},
+    {"rewire_period", &dynamics_spec::rewire_period},
+    {"edge_down_prob", &dynamics_spec::edge_down_prob},
+    {"churn_interval", &dynamics_spec::churn_interval},
+    {"protect_backbone", &dynamics_spec::protect_backbone},
+    {"loss_prob", &dynamics_spec::loss_prob},
+    {"crash_prob", &dynamics_spec::crash_prob},
+    {"sleep_prob", &dynamics_spec::sleep_prob},
+    {"sleep_rounds", &dynamics_spec::sleep_rounds},
+    {"strategy", &dynamics_spec::strategy},
+    {"strategy_intensity", &dynamics_spec::strategy_intensity},
+    {"strategy_grace", &dynamics_spec::strategy_grace},
+    {"strategy_max_kills", &dynamics_spec::strategy_max_kills},
+    {"leave_prob", &dynamics_spec::leave_prob},
+    {"join_prob", &dynamics_spec::join_prob},
+    {"trace_record", &dynamics_spec::trace_record},
+    {"trace_replay", &dynamics_spec::trace_replay},
+    {"seed", &dynamics_spec::seed},
+};
+
+}  // namespace
+
 void dynamics_spec::validate() const {
-    const auto prob = [](double p, const char* what) {
-        require(p >= 0 && p <= 1, std::string("dynamics: ") + what + " must be in [0, 1]");
-    };
-    prob(rewire_prob, "rewire_prob");
-    prob(edge_down_prob, "edge_down_prob");
-    prob(loss_prob, "loss_prob");
-    prob(crash_prob, "crash_prob");
-    prob(sleep_prob, "sleep_prob");
-    prob(strategy_intensity, "strategy_intensity");
-    prob(leave_prob, "leave_prob");
-    prob(join_prob, "join_prob");
+    for (const auto& [key, member] : knobs) {
+        if (const auto* p = std::get_if<double dynamics_spec::*>(&member)) {
+            require(this->**p >= 0 && this->**p <= 1,
+                    std::string("dynamics: ") + key + " must be in [0, 1]");
+        }
+    }
     require(churn_interval >= 1, "dynamics: churn_interval >= 1");
     require(sleep_rounds >= 1, "dynamics: sleep_rounds >= 1");
     require(strategy_grace >= 1, "dynamics: strategy_grace >= 1");
@@ -103,93 +131,63 @@ std::string dynamics_spec::to_json() const {
     std::ostringstream os;
     // Max-precision doubles: the value must survive a JSON round trip
     // bit-exactly (resume keys and trace headers replay from it).
-    os << std::setprecision(17);
-    os << "{\"rewire_prob\":" << rewire_prob << ",\"rewire_period\":" << rewire_period
-       << ",\"edge_down_prob\":" << edge_down_prob
-       << ",\"churn_interval\":" << churn_interval
-       << ",\"protect_backbone\":" << (protect_backbone ? "true" : "false")
-       << ",\"loss_prob\":" << loss_prob << ",\"crash_prob\":" << crash_prob
-       << ",\"sleep_prob\":" << sleep_prob << ",\"sleep_rounds\":" << sleep_rounds
-       << ",\"strategy\":\"" << to_string(strategy) << "\""
-       << ",\"strategy_intensity\":" << strategy_intensity
-       << ",\"strategy_grace\":" << strategy_grace
-       << ",\"strategy_max_kills\":" << strategy_max_kills
-       << ",\"leave_prob\":" << leave_prob << ",\"join_prob\":" << join_prob;
-    if (!trace_record.empty()) {
-        os << ",\"trace_record\":\"" << json_escape(trace_record) << "\"";
+    os << std::setprecision(17) << std::boolalpha;
+    char sep = '{';
+    for (const auto& [key, member] : knobs) {
+        std::visit(
+            [&](auto ptr) {
+                const auto& value = this->*ptr;
+                using T = std::decay_t<decltype(value)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    if (value.empty()) return;  // unset paths are omitted
+                    os << sep << '"' << key << "\":\"" << json_escape(value) << '"';
+                } else if constexpr (std::is_same_v<T, adaptive_kind>) {
+                    os << sep << '"' << key << "\":\"" << to_string(value) << '"';
+                } else {
+                    os << sep << '"' << key << "\":" << value;
+                }
+                sep = ',';
+            },
+            member);
     }
-    if (!trace_replay.empty()) {
-        os << ",\"trace_replay\":\"" << json_escape(trace_replay) << "\"";
-    }
-    os << ",\"seed\":" << seed << "}";
+    os << '}';
     return os.str();
 }
 
-std::optional<dynamics_spec> dynamics_preset(std::string_view name) {
-    dynamics_spec d;
-    if (name == "static") return d;
-    if (name == "rewire") {  // the full anonymity adversary, every round
-        d.rewire_period = 1;
-        return d;
-    }
-    if (name == "churn") {  // T-interval-connected churn, T = 8
-        d.edge_down_prob = 0.25;
-        d.churn_interval = 8;
-        return d;
-    }
-    if (name == "loss") {
-        d.loss_prob = 0.05;
-        return d;
-    }
-    if (name == "crash") {
-        d.crash_prob = 0.001;
-        return d;
-    }
-    if (name == "sleep") {
-        d.sleep_prob = 0.01;
-        d.sleep_rounds = 8;
-        return d;
-    }
-    if (name == "storm") {  // everything at once, mildly
-        d.rewire_prob = 0.1;
-        d.edge_down_prob = 0.15;
-        d.churn_interval = 4;
-        d.loss_prob = 0.02;
-        d.sleep_prob = 0.005;
-        d.sleep_rounds = 4;
-        return d;
-    }
-    if (name == "frontier") {  // adaptive: kill undecided senders' traffic
-        d.strategy = adaptive_kind::target_frontier_loss;
-        d.strategy_intensity = 0.5;
-        return d;
-    }
-    if (name == "assassin") {  // adaptive: crash the leader right after it decides
-        d.strategy = adaptive_kind::leader_assassin;
-        d.strategy_grace = 1;
-        d.strategy_max_kills = 1;
-        return d;
-    }
-    if (name == "cutchurn") {  // adaptive: churn the decision boundary
-        d.strategy = adaptive_kind::cut_churn;
-        d.strategy_intensity = 0.6;
-        return d;
-    }
-    if (name == "member") {  // membership churn: nodes leave and rejoin
-        d.leave_prob = 0.01;
-        d.join_prob = 0.05;
-        return d;
-    }
-    return std::nullopt;
+// Every preset once; dynamics_preset looks names up here.
+std::vector<std::pair<std::string, dynamics_spec>> all_dynamics_presets() {
+    return {
+        {"static", {}},
+        // The full anonymity adversary, every round.
+        {"rewire", {.rewire_period = 1}},
+        // T-interval-connected churn, T = 8.
+        {"churn", {.edge_down_prob = 0.25, .churn_interval = 8}},
+        {"loss", {.loss_prob = 0.05}},
+        {"crash", {.crash_prob = 0.001}},
+        {"sleep", {.sleep_prob = 0.01, .sleep_rounds = 8}},
+        // Everything at once, mildly.
+        {"storm",
+         {.rewire_prob = 0.1, .edge_down_prob = 0.15, .churn_interval = 4,
+          .loss_prob = 0.02, .sleep_prob = 0.005, .sleep_rounds = 4}},
+        // Adaptive: kill undecided senders' traffic.
+        {"frontier",
+         {.strategy = adaptive_kind::target_frontier_loss, .strategy_intensity = 0.5}},
+        // Adaptive: crash the leader right after it decides.
+        {"assassin",
+         {.strategy = adaptive_kind::leader_assassin, .strategy_grace = 1,
+          .strategy_max_kills = 1}},
+        // Adaptive: churn the decision boundary.
+        {"cutchurn", {.strategy = adaptive_kind::cut_churn, .strategy_intensity = 0.6}},
+        // Membership churn: nodes leave and rejoin.
+        {"member", {.leave_prob = 0.01, .join_prob = 0.05}},
+    };
 }
 
-std::vector<std::pair<std::string, dynamics_spec>> all_dynamics_presets() {
-    std::vector<std::pair<std::string, dynamics_spec>> out;
-    for (const char* name : {"static", "rewire", "churn", "loss", "crash", "sleep",
-                             "storm", "frontier", "assassin", "cutchurn", "member"}) {
-        out.emplace_back(name, *dynamics_preset(name));
+std::optional<dynamics_spec> dynamics_preset(std::string_view name) {
+    for (auto& [preset, spec] : all_dynamics_presets()) {
+        if (preset == name) return std::move(spec);
     }
-    return out;
+    return std::nullopt;
 }
 
 // --- slot tables -------------------------------------------------------------
@@ -297,8 +295,7 @@ dynamics_state::dynamics_state(const graph& g, std::vector<std::uint32_t>& peer,
         // survive from the caller's spec.
         replay_ = std::make_unique<trace_log>(trace_log::load(spec_.trace_replay));
         replay_->check_against(n, peer_.size(), g.num_edges());
-        auto [name, recorded] = dynamics_from_json(json_parse(replay_->spec_json));
-        (void)name;
+        dynamics_spec recorded = dynamics_from_json(replay_->spec).second;
         recorded.trace_record = spec_.trace_record;
         recorded.trace_replay = spec_.trace_replay;
         spec_ = std::move(recorded);
@@ -351,86 +348,139 @@ dynamics_state::dynamics_state(const graph& g, std::vector<std::uint32_t>& peer,
     if (spec_.sleep_prob > 0) sleep_until_.assign(n, 0);
 }
 
-// Digest offsets per event kind: kept distinct so the schedule digest
-// separates event types, and identical between the sampling and replay
-// paths (both funnel through emit()).
-namespace {
-
-std::uint64_t note_base(trace_kind k) noexcept {
-    switch (k) {
-        case trace_kind::rewire: return 0x11;
-        case trace_kind::edge_down: return 0x22;
-        case trace_kind::churn_kill: return 0x33;
-        case trace_kind::loss_kill: return 0x44;
-        case trace_kind::crash: return 0x55;
-        case trace_kind::sleep: return 0x66;
-        case trace_kind::leave: return 0x77;
-        case trace_kind::join: return 0x88;
-        case trace_kind::adaptive_kill: return 0x99;
-        case trace_kind::cut_kill: return 0xAA;
-        case trace_kind::adaptive_crash: return 0xBB;
-        case trace_kind::window_reset: return 0;  // boundary marker, not an event
+void dynamics_state::realize(const round_view& v, trace_kind kind, std::uint64_t a,
+                             std::uint64_t b) {
+    if (writer_) writer_->record(v.round, kind, a, b);
+    // Each kind notes the digest at its own offset, so the schedule
+    // digest separates event types.
+    const auto u = static_cast<node_id>(a);
+    switch (kind) {
+        case trace_kind::rewire:
+            note(0x11 + a);
+            rewired_.push_back(u);
+            ++stats_.rewired_nodes;
+            break;
+        case trace_kind::edge_down:
+            note(0x22 + a);
+            edge_down_[a] = 1;
+            ++down_count_;
+            break;
+        case trace_kind::churn_kill:
+            note(0x33 + a);
+            v.stamp[a] = 0;
+            ++stats_.churned_messages;
+            break;
+        case trace_kind::loss_kill:
+            note(0x44 + a);
+            v.stamp[a] = 0;
+            ++stats_.lost_messages;
+            break;
+        case trace_kind::crash:
+            note(0x55 + a);
+            crashed_.push_back(u);
+            ++stats_.crashes;
+            break;
+        case trace_kind::sleep:
+            note(0x66 + a);
+            sleep_until_[u] = b;
+            ++stats_.sleep_events;
+            break;
+        case trace_kind::leave:
+            note(0x77 + a);
+            release_slot_range(u, v);
+            membership_.push_back({u, false});
+            ++stats_.leaves;
+            break;
+        case trace_kind::join:
+            note(0x88 + a);
+            membership_.push_back({u, true});
+            ++stats_.joins;
+            break;
+        case trace_kind::adaptive_kill:
+            note(0x99 + a);
+            v.stamp[a] = 0;
+            ++stats_.targeted_losses;
+            break;
+        case trace_kind::cut_kill:
+            note(0xAA + a);
+            v.stamp[a] = 0;
+            ++stats_.cut_losses;
+            break;
+        case trace_kind::adaptive_crash:
+            note(0xBB + a);
+            adaptive_crashed_.push_back(u);
+            ++stats_.assassinations;
+            break;
+        case trace_kind::window_reset:  // boundary marker, not an event
+            std::fill(edge_down_.begin(), edge_down_.end(), 0);
+            down_count_ = 0;
+            break;
     }
-    return 0;
 }
 
-}  // namespace
-
-void dynamics_state::emit(std::uint64_t round, trace_kind kind, std::uint64_t a,
-                          std::uint64_t b) {
-    if (kind != trace_kind::window_reset) note(note_base(kind) + a);
-    if (writer_) writer_->record(round, kind, a, b);
-}
-
-bool dynamics_state::replay_take(std::uint64_t round, trace_kind kind,
-                                 trace_event& out) {
-    const trace_event* ev = replay_peek();
-    if (ev == nullptr || ev->round != round || ev->kind != kind) return false;
-    out = *ev;
-    ++cursor_;
-    emit(round, kind, out.a, out.b);
-    return true;
-}
-
-const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan_rewire(
-    std::uint64_t round, const std::vector<char>& halted,
-    const std::vector<char>& present) {
-    moves_.clear();
-    rewired_.clear();
-    if (replay_) {
+void dynamics_state::replay(const round_view& v,
+                            std::initializer_list<trace_kind> kinds) {
+    for (; replay_ && cursor_ < replay_->events.size(); ++cursor_) {
+        const trace_event& ev = replay_->events[cursor_];
         // Any event left over from an earlier round was never applicable
         // in its phase: the trace does not describe this run.
-        if (const trace_event* stale = replay_peek();
-            stale != nullptr && stale->round < round) {
-            throw error(std::string("trace: recorded event '") + to_string(stale->kind) +
-                        " " + std::to_string(stale->a) + "' at round " +
-                        std::to_string(stale->round) +
+        if (ev.round < v.round) {
+            throw error(std::string("trace: recorded event '") + to_string(ev.kind) +
+                        " " + std::to_string(ev.a) + "' at round " +
+                        std::to_string(ev.round) +
                         " was never applied — the trace does not match this run "
                         "(hand-edited, reordered, or recorded on a different setup?)");
         }
-        trace_event ev;
-        while (replay_take(round, trace_kind::rewire, ev)) {
-            const auto u = static_cast<node_id>(ev.a);
-            require(rewired_.empty() || rewired_.back() < u,
-                    "trace: rewire events must be in ascending node order");
-            rewired_.push_back(u);
+        if (ev.round != v.round ||
+            std::find(kinds.begin(), kinds.end(), ev.kind) == kinds.end()) {
+            return;
         }
-    } else {
-        if (spec_.rewire_prob <= 0 && spec_.rewire_period == 0) return moves_;
+        switch (ev.kind) {
+            case trace_kind::rewire:
+                require(rewired_.empty() || rewired_.back() < ev.a,
+                        "trace: rewire events must be in ascending node order");
+                break;
+            case trace_kind::churn_kill:
+            case trace_kind::loss_kill:
+            case trace_kind::adaptive_kill:
+            case trace_kind::cut_kill:
+                if (v.stamp[ev.a] != v.mark) {
+                    throw error("trace: recorded kill of slot " + std::to_string(ev.a) +
+                                " at round " + std::to_string(ev.round) +
+                                " hits no live message — the trace does not match "
+                                "this run");
+                }
+                break;
+            case trace_kind::sleep:
+                require(!sleep_until_.empty(),
+                        "trace: sleep event but the recorded spec has no sleep model");
+                break;
+            default:
+                break;
+        }
+        realize(v, ev.kind, ev.a, ev.b);
+    }
+}
+
+const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan_rewire(
+    const round_view& v) {
+    moves_.clear();
+    rewired_.clear();
+    if (replay_) {
+        replay(v, {trace_kind::rewire});
+    } else if (spec_.rewire_prob > 0 || spec_.rewire_period > 0) {
         const bool periodic =
-            spec_.rewire_period > 0 && round % spec_.rewire_period == 0;
-        const std::size_t n = g_.num_nodes();
-        for (node_id u = 0; u < n; ++u) {
-            if (halted[u] || !present[u]) continue;
+            spec_.rewire_period > 0 && v.round % spec_.rewire_period == 0;
+        for (node_id u = 0; u < g_.num_nodes(); ++u) {
+            if (v.halted[u] || !v.present[u]) continue;
             if (periodic ||
-                detail::hash_bernoulli(seed_, round, u, 0x5E11, spec_.rewire_prob)) {
-                rewired_.push_back(u);
-                emit(round, trace_kind::rewire, u);
+                detail::hash_bernoulli(seed_, v.round, u, 0x5E11, spec_.rewire_prob)) {
+                realize(v, trace_kind::rewire, u);
             }
         }
     }
     if (rewired_.empty()) return moves_;
-    apply_port_rewire(g_, owner_, peer_, rewired_, rewire_seed(round), moves_);
+    apply_port_rewire(g_, owner_, peer_, rewired_, rewire_seed(v.round), moves_);
     // Auxiliary per-slot tables relocate along with the payload.
     if (!slot_edge_.empty()) {
         static thread_local std::vector<std::uint32_t> scratch;
@@ -440,60 +490,34 @@ const std::vector<std::pair<std::uint32_t, std::uint32_t>>& dynamics_state::plan
             slot_edge_[moves_[i].second] = scratch[i];
         }
     }
-    stats_.rewired_nodes += rewired_.size();
     return moves_;
 }
 
-void dynamics_state::release_slot_range(node_id u, std::uint32_t mark,
-                                        std::vector<std::uint32_t>& cur_stamp) {
+void dynamics_state::release_slot_range(node_id u, const round_view& v) {
     const std::size_t lo = g_.offset(u);
     const std::size_t hi = lo + g_.degree(u);
     for (std::size_t s = lo; s < hi; ++s) {
-        if (cur_stamp[s] == mark) ++stats_.released_messages;
-        cur_stamp[s] = 0;  // 0 never matches a delivery mark
+        if (v.stamp[s] == v.mark) ++stats_.released_messages;
+        v.stamp[s] = 0;
     }
 }
 
 const std::vector<membership_event>& dynamics_state::plan_membership(
-    std::uint64_t round, std::uint32_t mark, const std::vector<char>& halted,
-    const std::vector<char>& present, std::vector<std::uint32_t>& cur_stamp) {
+    const round_view& v) {
     membership_.clear();
     if (replay_) {
-        while (const trace_event* ev = replay_peek()) {
-            if (ev->round != round ||
-                (ev->kind != trace_kind::leave && ev->kind != trace_kind::join)) {
-                break;
-            }
-            const trace_event e = *ev;
-            ++cursor_;
-            emit(e.round, e.kind, e.a, e.b);
-            const auto u = static_cast<node_id>(e.a);
-            if (e.kind == trace_kind::leave) {
-                release_slot_range(u, mark, cur_stamp);
-                ++stats_.leaves;
-                membership_.push_back({u, false});
-            } else {
-                ++stats_.joins;
-                membership_.push_back({u, true});
-            }
-        }
+        replay(v, {trace_kind::leave, trace_kind::join});
         return membership_;
     }
     if (spec_.leave_prob <= 0 && spec_.join_prob <= 0) return membership_;
-    const std::size_t n = g_.num_nodes();
-    for (node_id u = 0; u < n; ++u) {
-        if (present[u] && !halted[u]) {
-            if (detail::hash_bernoulli(seed_, round, u, 0x1EAF, spec_.leave_prob)) {
-                emit(round, trace_kind::leave, u);
-                release_slot_range(u, mark, cur_stamp);
-                ++stats_.leaves;
-                membership_.push_back({u, false});
+    for (node_id u = 0; u < g_.num_nodes(); ++u) {
+        if (v.present[u] && !v.halted[u]) {
+            if (detail::hash_bernoulli(seed_, v.round, u, 0x1EAF, spec_.leave_prob)) {
+                realize(v, trace_kind::leave, u);
             }
-        } else if (!present[u]) {
-            if (detail::hash_bernoulli(seed_, round, u, 0x701, spec_.join_prob)) {
-                emit(round, trace_kind::join, u);
-                ++stats_.joins;
-                membership_.push_back({u, true});
+        } else if (!v.present[u]) {
+            if (detail::hash_bernoulli(seed_, v.round, u, 0x701, spec_.join_prob)) {
+                realize(v, trace_kind::join, u);
             }
         }
     }
@@ -501,36 +525,16 @@ const std::vector<membership_event>& dynamics_state::plan_membership(
 }
 
 const std::vector<node_id>& dynamics_state::plan_adaptive(
-    std::uint64_t round, std::uint32_t mark, std::vector<std::uint32_t>& cur_stamp,
-    const std::vector<char>& halted, const std::vector<char>& present,
-    const std::vector<char>& decided, const std::vector<char>& leader) {
+    const round_view& v, const std::vector<char>& decided,
+    const std::vector<char>& leader) {
     adaptive_crashed_.clear();
     if (replay_) {
-        while (const trace_event* ev = replay_peek()) {
-            if (ev->round != round || (ev->kind != trace_kind::adaptive_crash &&
-                                       ev->kind != trace_kind::adaptive_kill &&
-                                       ev->kind != trace_kind::cut_kill)) {
-                break;
-            }
-            const trace_event e = *ev;
-            ++cursor_;
-            emit(e.round, e.kind, e.a, e.b);
-            if (e.kind == trace_kind::adaptive_crash) {
-                adaptive_crashed_.push_back(static_cast<node_id>(e.a));
-                ++stats_.assassinations;
-            } else {
-                cur_stamp[static_cast<std::size_t>(e.a)] = 0;
-                if (e.kind == trace_kind::adaptive_kill) {
-                    ++stats_.targeted_losses;
-                } else {
-                    ++stats_.cut_losses;
-                }
-            }
-        }
+        replay(v, {trace_kind::adaptive_crash, trace_kind::adaptive_kill,
+                   trace_kind::cut_kill});
         return adaptive_crashed_;
     }
-    const auto flag = [](const std::vector<char>& v, node_id u) noexcept {
-        return u < v.size() && v[u] != 0;
+    const auto flag = [](const std::vector<char>& f, node_id u) noexcept {
+        return u < f.size() && f[u] != 0;
     };
     switch (spec_.strategy) {
         case adaptive_kind::none:
@@ -539,64 +543,53 @@ const std::vector<node_id>& dynamics_state::plan_adaptive(
             // Kill traffic out of the active frontier: live senders that
             // have not decided yet are the ones still moving the
             // computation (max-id waves, walk tokens, recruitment).
-            for (std::uint32_t s = 0; s < cur_stamp.size(); ++s) {
-                if (cur_stamp[s] != mark) continue;
+            for (std::uint32_t s = 0; s < v.stamp.size(); ++s) {
+                if (v.stamp[s] != v.mark) continue;
                 const node_id u = owner_[s];
-                if (halted[u] || !present[u] || flag(decided, u)) continue;
-                if (detail::hash_bernoulli(seed_, round, s, 0xF057,
+                if (v.halted[u] || !v.present[u] || flag(decided, u)) continue;
+                if (detail::hash_bernoulli(seed_, v.round, s, 0xF057,
                                            spec_.strategy_intensity)) {
-                    cur_stamp[s] = 0;
-                    ++stats_.targeted_losses;
-                    emit(round, trace_kind::adaptive_kill, s);
+                    realize(v, trace_kind::adaptive_kill, s);
                 }
             }
             break;
         case adaptive_kind::cut_churn:
             // Kill messages crossing the decision boundary — the cut
             // between settled territory and nodes still undecided.
-            for (std::uint32_t s = 0; s < cur_stamp.size(); ++s) {
-                if (cur_stamp[s] != mark) continue;
-                const node_id u = owner_[s];
-                const node_id v = owner_[peer_[s]];
-                if (flag(decided, u) == flag(decided, v)) continue;
-                if (detail::hash_bernoulli(seed_, round, s, 0xC07,
+            for (std::uint32_t s = 0; s < v.stamp.size(); ++s) {
+                if (v.stamp[s] != v.mark) continue;
+                if (flag(decided, owner_[s]) == flag(decided, owner_[peer_[s]])) continue;
+                if (detail::hash_bernoulli(seed_, v.round, s, 0xC07,
                                            spec_.strategy_intensity)) {
-                    cur_stamp[s] = 0;
-                    ++stats_.cut_losses;
-                    emit(round, trace_kind::cut_kill, s);
+                    realize(v, trace_kind::cut_kill, s);
                 }
             }
             break;
-        case adaptive_kind::leader_assassin: {
-            const std::size_t n = g_.num_nodes();
-            for (node_id u = 0; u < n; ++u) {
-                if (halted[u] || !present[u] || !flag(leader, u)) {
+        case adaptive_kind::leader_assassin:
+            for (node_id u = 0; u < g_.num_nodes(); ++u) {
+                if (v.halted[u] || !v.present[u] || !flag(leader, u)) {
                     leader_seen_[u] = 0;
                     continue;
                 }
                 if (leader_seen_[u] == 0) {
-                    leader_seen_[u] = round + 1;  // first observation
+                    leader_seen_[u] = v.round + 1;  // first observation
                     continue;
                 }
                 // Observed age in rounds; grace = 1 crashes the leader
                 // the round after it was first seen holding the flag.
                 if (kills_ < spec_.strategy_max_kills &&
-                    round + 1 - leader_seen_[u] >= spec_.strategy_grace) {
-                    adaptive_crashed_.push_back(u);
+                    v.round + 1 - leader_seen_[u] >= spec_.strategy_grace) {
                     leader_seen_[u] = 0;
                     ++kills_;
-                    ++stats_.assassinations;
-                    emit(round, trace_kind::adaptive_crash, u);
+                    realize(v, trace_kind::adaptive_crash, u);
                 }
             }
             break;
-        }
     }
     return adaptive_crashed_;
 }
 
-void dynamics_state::apply_message_faults(std::uint64_t round, std::uint32_t mark,
-                                          std::vector<std::uint32_t>& cur_stamp) {
+void dynamics_state::apply_message_faults(const round_view& v) {
     // Gated by the *recorded* spec under replay (the ctor swapped it in),
     // so the delivery count and down-window bookkeeping match the
     // original run exactly.
@@ -604,121 +597,65 @@ void dynamics_state::apply_message_faults(std::uint64_t round, std::uint32_t mar
     const bool loss = spec_.loss_prob > 0;
     if (!churn && !loss) return;
     if (churn) {
-        const std::uint64_t window = round / spec_.churn_interval;
+        const std::uint64_t window = v.round / spec_.churn_interval;
         if (window != window_) {
             window_ = window;
-            down_count_ = 0;
-            std::fill(edge_down_.begin(), edge_down_.end(), 0);
             if (replay_) {
-                trace_event ev;
-                require(replay_take(round, trace_kind::window_reset, ev),
+                require(cursor_ < replay_->events.size() &&
+                            replay_->events[cursor_].round == v.round &&
+                            replay_->events[cursor_].kind == trace_kind::window_reset,
                         "trace: missing window_reset at a churn window boundary — "
                         "the trace does not match this run");
-                while (replay_take(round, trace_kind::edge_down, ev)) {
-                    edge_down_[static_cast<std::size_t>(ev.a)] = 1;
-                    ++down_count_;
-                }
+                replay(v, {trace_kind::window_reset, trace_kind::edge_down});
             } else {
-                emit(round, trace_kind::window_reset, 0);
+                realize(v, trace_kind::window_reset, 0);
                 for (std::size_t e = 0; e < edge_down_.size(); ++e) {
                     if (!backbone_[e] &&
                         detail::hash_bernoulli(seed_, window, e, 0xC5A2,
                                                spec_.edge_down_prob)) {
-                        edge_down_[e] = 1;
-                        ++down_count_;
-                        emit(round, trace_kind::edge_down, e);
+                        realize(v, trace_kind::edge_down, e);
                     }
                 }
             }
         }
         stats_.edge_down_rounds += down_count_;
     }
-    for (std::uint32_t s = 0; s < cur_stamp.size(); ++s) {
-        if (cur_stamp[s] != mark) continue;
+    for (std::uint32_t s = 0; s < v.stamp.size(); ++s) {
+        if (v.stamp[s] != v.mark) continue;
         ++stats_.deliveries;
-        if (replay_) {
-            // Kills were recorded in this same ascending-slot scan, so a
-            // sequential cursor suffices; a kill naming a slot that is
-            // not live here stays unconsumed and trips the stale-event
-            // check at the next round boundary.
-            const trace_event* ev = replay_peek();
-            if (ev != nullptr && ev->round == round && ev->a == s &&
-                (ev->kind == trace_kind::churn_kill ||
-                 ev->kind == trace_kind::loss_kill)) {
-                const trace_event e = *ev;
-                ++cursor_;
-                emit(e.round, e.kind, e.a, e.b);
-                cur_stamp[s] = 0;  // 0 never matches a delivery mark
-                if (e.kind == trace_kind::churn_kill) {
-                    ++stats_.churned_messages;
-                } else {
-                    ++stats_.lost_messages;
-                }
-            }
-        } else if (churn && edge_down_[slot_edge_[s]]) {
-            cur_stamp[s] = 0;  // 0 never matches a delivery mark
-            ++stats_.churned_messages;
-            emit(round, trace_kind::churn_kill, s);
+        if (replay_) continue;
+        if (churn && edge_down_[slot_edge_[s]]) {
+            realize(v, trace_kind::churn_kill, s);
         } else if (loss &&
-                   detail::hash_bernoulli(seed_, round, s, 0x1055, spec_.loss_prob)) {
-            cur_stamp[s] = 0;
-            ++stats_.lost_messages;
-            emit(round, trace_kind::loss_kill, s);
+                   detail::hash_bernoulli(seed_, v.round, s, 0x1055, spec_.loss_prob)) {
+            realize(v, trace_kind::loss_kill, s);
         }
     }
+    replay(v, {trace_kind::churn_kill, trace_kind::loss_kill});
 }
 
-const std::vector<node_id>& dynamics_state::plan_node_faults(
-    std::uint64_t round, const std::vector<char>& halted,
-    const std::vector<char>& present) {
+const std::vector<node_id>& dynamics_state::plan_node_faults(const round_view& v) {
     crashed_.clear();
-    const std::size_t n = g_.num_nodes();
-    if (replay_) {
-        // Crash trials are a rate denominator, not events — recompute
-        // them from the live set (identical to the recording run's scan)
-        // before applying this round's recorded faults.
-        if (spec_.crash_prob > 0) {
-            for (node_id u = 0; u < n; ++u) {
-                if (halted[u] || !present[u] || asleep(u, round)) continue;
+    // Crash trials are a rate denominator, not events, so replay counts
+    // them too (the same scan as the recording run's).
+    if (spec_.crash_prob > 0 || spec_.sleep_prob > 0) {
+        for (node_id u = 0; u < g_.num_nodes(); ++u) {
+            if (v.halted[u] || !v.present[u] || asleep(u, v.round)) continue;
+            if (spec_.crash_prob > 0) {
                 ++stats_.crash_trials;
+                if (!replay_ && detail::hash_bernoulli(seed_, v.round, u, 0xC8A5,
+                                                       spec_.crash_prob)) {
+                    realize(v, trace_kind::crash, u);
+                    continue;
+                }
             }
-        }
-        trace_event ev;
-        while (true) {
-            if (replay_take(round, trace_kind::crash, ev)) {
-                crashed_.push_back(static_cast<node_id>(ev.a));
-                ++stats_.crashes;
-            } else if (replay_take(round, trace_kind::sleep, ev)) {
-                require(!sleep_until_.empty(),
-                        "trace: sleep event but the recorded spec has no sleep model");
-                sleep_until_[static_cast<node_id>(ev.a)] = ev.b;
-                ++stats_.sleep_events;
-            } else {
-                break;
+            if (!replay_ && spec_.sleep_prob > 0 &&
+                detail::hash_bernoulli(seed_, v.round, u, 0x51EE, spec_.sleep_prob)) {
+                realize(v, trace_kind::sleep, u, v.round + spec_.sleep_rounds);
             }
-        }
-        return crashed_;
-    }
-    if (spec_.crash_prob <= 0 && spec_.sleep_prob <= 0) return crashed_;
-    for (node_id u = 0; u < n; ++u) {
-        if (halted[u] || !present[u]) continue;
-        if (asleep(u, round)) continue;
-        if (spec_.crash_prob > 0) {
-            ++stats_.crash_trials;
-            if (detail::hash_bernoulli(seed_, round, u, 0xC8A5, spec_.crash_prob)) {
-                crashed_.push_back(u);
-                ++stats_.crashes;
-                emit(round, trace_kind::crash, u);
-                continue;
-            }
-        }
-        if (spec_.sleep_prob > 0 &&
-            detail::hash_bernoulli(seed_, round, u, 0x51EE, spec_.sleep_prob)) {
-            sleep_until_[u] = round + spec_.sleep_rounds;
-            ++stats_.sleep_events;
-            emit(round, trace_kind::sleep, u, sleep_until_[u]);
         }
     }
+    replay(v, {trace_kind::crash, trace_kind::sleep});
     return crashed_;
 }
 
@@ -733,49 +670,32 @@ std::pair<std::string, dynamics_spec> dynamics_from_json(const json_value& v) {
             name = val.as_string();
             continue;
         }
-        any_knob = true;
-        if (key == "rewire_prob") {
-            d.rewire_prob = val.as_number();
-        } else if (key == "rewire_period") {
-            d.rewire_period = val.as_uint();
-        } else if (key == "edge_down_prob") {
-            d.edge_down_prob = val.as_number();
-        } else if (key == "churn_interval") {
-            d.churn_interval = val.as_uint();
-        } else if (key == "protect_backbone") {
-            d.protect_backbone = val.as_bool();
-        } else if (key == "loss_prob") {
-            d.loss_prob = val.as_number();
-        } else if (key == "crash_prob") {
-            d.crash_prob = val.as_number();
-        } else if (key == "sleep_prob") {
-            d.sleep_prob = val.as_number();
-        } else if (key == "sleep_rounds") {
-            d.sleep_rounds = val.as_uint();
-        } else if (key == "strategy") {
-            const auto k = adaptive_from_string(val.as_string());
-            require(k.has_value(),
-                    "dynamics spec: unknown strategy '" + val.as_string() + "'");
-            d.strategy = *k;
-        } else if (key == "strategy_intensity") {
-            d.strategy_intensity = val.as_number();
-        } else if (key == "strategy_grace") {
-            d.strategy_grace = val.as_uint();
-        } else if (key == "strategy_max_kills") {
-            d.strategy_max_kills = val.as_uint();
-        } else if (key == "leave_prob") {
-            d.leave_prob = val.as_number();
-        } else if (key == "join_prob") {
-            d.join_prob = val.as_number();
-        } else if (key == "trace_record") {
-            d.trace_record = val.as_string();
-        } else if (key == "trace_replay") {
-            d.trace_replay = val.as_string();
-        } else if (key == "seed") {
-            d.seed = val.as_uint();
-        } else {
+        const auto* knob = std::find_if(std::begin(knobs), std::end(knobs),
+                                        [&](const auto& k) { return key == k.first; });
+        if (knob == std::end(knobs)) {
             throw error("dynamics spec: unknown key '" + key + "'");
         }
+        any_knob = true;
+        std::visit(
+            [&](auto ptr) {
+                auto& field = d.*ptr;
+                using T = std::decay_t<decltype(field)>;
+                if constexpr (std::is_same_v<T, double>) {
+                    field = val.as_number();
+                } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+                    field = val.as_uint();
+                } else if constexpr (std::is_same_v<T, bool>) {
+                    field = val.as_bool();
+                } else if constexpr (std::is_same_v<T, std::string>) {
+                    field = val.as_string();
+                } else {
+                    const auto k = adaptive_from_string(val.as_string());
+                    require(k.has_value(),
+                            "dynamics spec: unknown strategy '" + val.as_string() + "'");
+                    field = *k;
+                }
+            },
+            knob->second);
     }
     require(!name.empty() || any_knob, "dynamics spec: entry needs a name or knobs");
     if (!any_knob) {

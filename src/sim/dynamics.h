@@ -54,6 +54,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -170,9 +171,10 @@ struct dynamics_spec {
     // the file's recorded spec and seed override every sampling knob
     // above — and applied byte-for-byte. When `trace_record` names a
     // path, the realized schedule (sampled or replayed) is streamed
-    // there as it happens.
-    std::string trace_record;
-    std::string trace_replay;
+    // there as it happens. (Brace-initialized like every other knob, so
+    // the presets' designated initializers may leave them out.)
+    std::string trace_record{};
+    std::string trace_replay{};
 
     // Schedule seed; 0 = derived from the run seed, so repetitions see
     // independent schedules while staying reproducible.
@@ -301,45 +303,54 @@ public:
     }
     [[nodiscard]] bool replaying() const noexcept { return replay_ != nullptr; }
 
-    // (1) Port re-wiring: updates the peer table in place for the nodes
-    // the adversary relabels in `round` (skipping halted and absent nodes)
-    // and returns the payload moves the engine must mirror onto its
-    // in-flight message/stamp arrays. The returned reference is valid
-    // until the next call.
+    // What the engine hands every hook of one pre-round pass: the round,
+    // its delivery mark, the live stamp array (slot kills write 0, which
+    // never matches a mark) and the node flags. The flags are references,
+    // so each phase sees the crashes and membership changes the engine
+    // folded in after the phases before it.
+    struct round_view {
+        std::uint64_t round;
+        std::uint32_t mark;
+        std::vector<std::uint32_t>& stamp;
+        const std::vector<char>& halted;
+        const std::vector<char>& present;
+    };
+
+    // The phases, in the order the engine calls them and the trace
+    // records their events. Each phase either samples its events or, under
+    // replay, reads this round's recorded events of its kinds; both feed
+    // every event through one member, so a replay applies exactly the code
+    // that recorded it. Returned references are valid until the next call.
+    //
+    // (1) Port re-wiring: relabels the ports of the nodes the adversary
+    // picks (live, present ones when sampling) in the peer table and
+    // returns the payload moves the engine mirrors onto its in-flight
+    // message and stamp arrays.
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& plan_rewire(
-        std::uint64_t round, const std::vector<char>& halted,
-        const std::vector<char>& present);
+        const round_view& v);
 
-    // (2) Membership churn: draws leave/join for this round, releases the
-    // out-slot range of every leaver (in-flight messages from it die),
-    // and returns the events the engine must apply to its live-node set
-    // and protocol instances. The returned reference is valid until the
-    // next call.
-    const std::vector<membership_event>& plan_membership(
-        std::uint64_t round, std::uint32_t mark, const std::vector<char>& halted,
-        const std::vector<char>& present, std::vector<std::uint32_t>& cur_stamp);
+    // (2) Membership churn: releases each leaver's out-slot range (its
+    // in-flight messages die) and returns the leaves and joins the engine
+    // applies to its live-node set and protocol instances.
+    const std::vector<membership_event>& plan_membership(const round_view& v);
 
-    // (3) Adaptive strategy: observes the per-node flags (decided/leader
-    // refreshed from the engine's status probe; empty vectors = no probe
-    // installed, flags read as false), kills targeted messages in place,
-    // and returns the nodes the strategy crashes this round.
-    const std::vector<node_id>& plan_adaptive(
-        std::uint64_t round, std::uint32_t mark, std::vector<std::uint32_t>& cur_stamp,
-        const std::vector<char>& halted, const std::vector<char>& present,
-        const std::vector<char>& decided, const std::vector<char>& leader);
+    // (3) Adaptive strategy: observes the per-node decided/leader flags
+    // (refreshed from the engine's status probe; empty vectors = no probe
+    // installed, flags read as false), kills targeted messages in place
+    // and returns the nodes it crashes.
+    const std::vector<node_id>& plan_adaptive(const round_view& v,
+                                              const std::vector<char>& decided,
+                                              const std::vector<char>& leader);
 
     // (4)+(5) Edge churn and message loss: redraws the churn window if it
-    // expired, then kills (stamp := 0) every live slot whose edge is down
-    // or that loses its i.i.d. draw. `mark` is the round's delivery stamp.
-    void apply_message_faults(std::uint64_t round, std::uint32_t mark,
-                              std::vector<std::uint32_t>& cur_stamp);
+    // expired, then kills every live slot whose edge is down or that
+    // loses its i.i.d. draw.
+    void apply_message_faults(const round_view& v);
 
-    // (6) Node faults: draws crash/sleep for every live node. Newly
-    // crashed nodes are returned for the engine to fold into its halted
-    // set; sleep clocks are updated internally.
-    const std::vector<node_id>& plan_node_faults(std::uint64_t round,
-                                                 const std::vector<char>& halted,
-                                                 const std::vector<char>& present);
+    // (6) Node faults: crash/sleep draws for every live node; returns the
+    // newly crashed nodes for the engine's halted set and keeps the sleep
+    // clocks internally.
+    const std::vector<node_id>& plan_node_faults(const round_view& v);
 
     // Read-only, called from sharded rounds: is u asleep in `round`?
     [[nodiscard]] bool asleep(node_id u, std::uint64_t round) const noexcept {
@@ -353,21 +364,15 @@ private:
         stats_.schedule_digest =
             splitmix64_next(stats_.schedule_digest += event * 0x9e3779b97f4a7c15ULL);
     }
-    // Every realized event funnels through here: digest note (one fixed
-    // offset per kind, so record and replay hash identically) plus the
-    // optional trace stream.
-    void emit(std::uint64_t round, trace_kind kind, std::uint64_t a,
-              std::uint64_t b = 0);
-    // Replay cursor: true (and consumes) iff the next recorded event is
-    // (round, kind); throws on stale events from earlier rounds.
-    [[nodiscard]] bool replay_take(std::uint64_t round, trace_kind kind,
-                                   trace_event& out);
-    [[nodiscard]] const trace_event* replay_peek() const noexcept {
-        return replay_ && cursor_ < replay_->events.size() ? &replay_->events[cursor_]
-                                                          : nullptr;
-    }
-    void release_slot_range(node_id u, std::uint32_t mark,
-                            std::vector<std::uint32_t>& cur_stamp);
+    // Every realized event, sampled or replayed, goes through here: the
+    // digest note, the trace record, the stats counter and the state
+    // change.
+    void realize(const round_view& v, trace_kind kind, std::uint64_t a,
+                 std::uint64_t b = 0);
+    // Realizes this round's recorded events of `kinds`, in file order, with
+    // the checks only a trace needs. A no-op unless replaying.
+    void replay(const round_view& v, std::initializer_list<trace_kind> kinds);
+    void release_slot_range(node_id u, const round_view& v);
 
     const graph& g_;
     std::vector<std::uint32_t>& peer_;  // the engine's live peer table
@@ -409,13 +414,10 @@ private:
 // --- parsing -----------------------------------------------------------------
 
 // Spec-file form (campaign "dynamics" axis entries; docs/DYNAMICS.md):
-//   {"name": "storm", "rewire_prob": 0.1, "rewire_period": 0,
-//    "edge_down_prob": 0.2, "churn_interval": 8, "protect_backbone": true,
-//    "loss_prob": 0.05, "crash_prob": 0.001, "sleep_prob": 0.01,
-//    "sleep_rounds": 4, "seed": 0}
-// All keys optional except that the entry must either name a preset or
-// set at least one knob. A bare {"name": "loss"} resolves the preset.
-class json_value;
+// the to_json() object, keyed by member name, plus an optional "name",
+// e.g. {"name": "lossy", "loss_prob": 0.05}. All keys optional except
+// that the entry must either name a preset or set at least one knob. A
+// bare {"name": "loss"} resolves the preset.
 [[nodiscard]] std::pair<std::string, dynamics_spec> dynamics_from_json(
     const json_value& v);
 

@@ -663,8 +663,9 @@ private:
     // into the halted set. Runs before shards fork; nothing here touches
     // node RNG streams.
     void apply_dynamics() {
-        const auto mark = static_cast<std::uint32_t>(round_ + 1);
-        const auto& moves = dyn_->plan_rewire(round_, halted_, present_);
+        const dynamics_state::round_view v{round_, static_cast<std::uint32_t>(round_ + 1),
+                                           cur_stamp_, halted_, present_};
+        const auto& moves = dyn_->plan_rewire(v);
         if (!moves.empty()) {
             // Gather payloads at old slots, then scatter to new ones —
             // cycles in the slot permutation make in-place moves unsafe.
@@ -679,8 +680,7 @@ private:
                 cur_stamp_[moves[i].second] = move_stamp_[i];
             }
         }
-        for (const membership_event& ev :
-             dyn_->plan_membership(round_, mark, halted_, present_, cur_stamp_)) {
+        for (const membership_event& ev : dyn_->plan_membership(v)) {
             if (ev.join) {
                 // The node reattaches on its footprint edges with a fresh
                 // protocol instance; its halted contribution was already
@@ -709,19 +709,17 @@ private:
                 }
             }
         }
-        for (const node_id u : dyn_->plan_adaptive(round_, mark, cur_stamp_, halted_,
-                                                   present_, decided_flags_,
-                                                   leader_flags_)) {
-            halted_[u] = 1;  // assassination: a crash, permanently silent
-            crashed_[u] = 1;
-            ++halted_count_;
-        }
-        dyn_->apply_message_faults(round_, mark, cur_stamp_);
-        for (const node_id u : dyn_->plan_node_faults(round_, halted_, present_)) {
-            halted_[u] = 1;  // crash: permanently silent, counts as halted
-            crashed_[u] = 1;
-            ++halted_count_;
-        }
+        // Crashed nodes, assassinated or i.i.d., are permanently silent and
+        // count as halted.
+        const auto crash = [this](const std::vector<node_id>& nodes) {
+            for (const node_id u : nodes) {
+                halted_[u] = crashed_[u] = 1;
+                ++halted_count_;
+            }
+        };
+        crash(dyn_->plan_adaptive(v, decided_flags_, leader_flags_));
+        dyn_->apply_message_faults(v);
+        crash(dyn_->plan_node_faults(v));
     }
 
     // Replaces u's protocol instance with a freshly constructed one (its

@@ -52,17 +52,17 @@ run_record scenario_runner::run_once(const graph& g, const graph_profile& prof,
     rec.seed = seed;
     try {
         if (std::holds_alternative<flood_cfg>(cfg)) {
-            rec.detail = run_flood_max(g, prof.diameter, seed,
-                                       congest_budget::strict_log(16), dynamics);
+            rec.detail =
+                run_flood_max(g, prof.diameter, seed, flood_max_budget, dynamics);
         } else if (const auto* gb = std::get_if<gilbert_cfg>(&cfg)) {
-            rec.detail = run_gilbert(g, fill(gb->params, prof), seed,
-                                     congest_budget::fragmenting(16), dynamics);
+            rec.detail =
+                run_gilbert(g, fill(gb->params, prof), seed, gilbert_budget, dynamics);
         } else if (const auto* ir = std::get_if<irrevocable_cfg>(&cfg)) {
             rec.detail = run_irrevocable(g, fill(ir->params, prof), seed,
-                                         congest_budget::strict_log(16), dynamics);
+                                         irrevocable_budget, dynamics);
         } else if (const auto* rv = std::get_if<revocable_cfg>(&cfg)) {
             rec.detail = run_revocable(g, fill(*rv, prof), seed, rv->max_rounds,
-                                       congest_budget::fragmenting(16), dynamics);
+                                       revocable_budget, dynamics);
         } else {
             // tmix·log2 n logical rounds.
             const auto rounds = std::max<std::uint64_t>(
@@ -70,7 +70,7 @@ run_record scenario_runner::run_once(const graph& g, const graph_profile& prof,
                        static_cast<double>(prof.mixing_time) *
                        std::log2(static_cast<double>(std::max<std::size_t>(prof.n, 2)))));
             rec.detail = run_cautious(g, fill(std::get<cautious_cfg>(cfg), prof), rounds,
-                                      seed, congest_budget::strict_log(16), dynamics);
+                                      seed, cautious_budget, dynamics);
         }
         rec.ok = true;
     } catch (const std::exception& e) {

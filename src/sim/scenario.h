@@ -39,25 +39,26 @@
 namespace anole {
 
 // --- algorithm configurations -----------------------------------------------
+//
+// Each variant runs under the CONGEST budget its driver header names
+// (flood_max_budget, gilbert_budget, irrevocable_budget, revocable_budget,
+// cautious_budget).
 
-// Table 1 row A: flood-max with known n and D.
-// Runs for the profile's diameter under a strict 16·log n budget.
+// Table 1 row A: flood-max with known n and D, run for the profile's
+// diameter.
 struct flood_cfg {};
 
 // Table 1 row C: Gilbert-et-al-style random-walk election (knows n, tmix).
-// Fragmenting 16·log n budget.
 struct gilbert_cfg {
     gilbert_params params;  // n = 0 / tmix = 0 auto-filled from profile
 };
 
-// Table 1 row B: the paper's Irrevocable LE (knows n, tmix, Φ). Strict
-// 16·log n budget.
+// Table 1 row B: the paper's Irrevocable LE (knows n, tmix, Φ).
 struct irrevocable_cfg {
     irrevocable_params params;  // n/tmix/phi = 0 auto-filled from profile
 };
 
-// Rows D/E: the paper's Revocable LE (blind, or knows i(G)). Fragmenting
-// 16·log n budget.
+// Rows D/E: the paper's Revocable LE (blind, or knows i(G)).
 struct revocable_cfg {
     revocable_params params;
     // Fill params.isoperimetric from the profile (row E) when unset.
@@ -67,7 +68,7 @@ struct revocable_cfg {
 
 // Single-source cautious broadcast (§4 Algorithm 4; the Lemma 1 harness).
 // Node 0 is the source; everything else starts passive. Runs tmix·log2 n
-// logical rounds under a strict 16·log n budget.
+// logical rounds.
 struct cautious_cfg {
     cb_config config;
     // If nonzero, overrides config.cap with max(2, ⌈cap_x·tmix·Φ⌉) — the

@@ -1,5 +1,6 @@
 #include "sim/trace.h"
 
+#include <charconv>
 #include <utility>
 
 #include "util/error.h"
@@ -74,32 +75,20 @@ trace_log trace_log::load(const std::string& path) {
             log.edges = static_cast<std::size_t>(v.at("edges").as_uint());
             // The resolved schedule seed is a full 64-bit hash; JSON
             // numbers are doubles (53-bit mantissa), so it travels as a
-            // decimal string.
+            // plain decimal string, read whole or rejected.
             const json_value& sv = v.at("seed");
             if (sv.is_string()) {
-                try {
-                    log.seed = std::stoull(sv.as_string());
-                } catch (const std::exception&) {
-                    fail("header seed is not a decimal integer");
+                const std::string& text = sv.as_string();
+                const char* end = text.data() + text.size();
+                const auto [ptr, ec] = std::from_chars(text.data(), end, log.seed);
+                if (ec != std::errc{} || ptr != end) {
+                    fail("header seed '" + text + "' is not a plain decimal integer");
                 }
             } else {
                 log.seed = sv.as_uint();
             }
-            require(v.at("spec").is_object(), "trace: header spec must be an object");
-            // Re-serialization would need a writer; keep the verbatim
-            // substring instead (the header is written on one line).
-            const auto spec_pos = line.find("\"spec\":");
-            if (spec_pos == std::string::npos) fail("header spec not inline");
-            const auto open = line.find('{', spec_pos);
-            std::size_t depth = 0, close = open;
-            for (std::size_t i = open; i < line.size(); ++i) {
-                if (line[i] == '{') ++depth;
-                if (line[i] == '}' && --depth == 0) {
-                    close = i;
-                    break;
-                }
-            }
-            log.spec_json = line.substr(open, close - open + 1);
+            if (!v.at("spec").is_object()) fail("header spec must be an object");
+            log.spec = v.at("spec");
             have_header = true;
             continue;
         }

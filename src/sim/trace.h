@@ -29,9 +29,9 @@
 // known kinds, non-decreasing rounds, ids in range once checked against
 // a footprint), so a hand-edited or mismatched trace is rejected with a
 // clear anole::error instead of silently corrupting a replay. This
-// layer knows nothing about dynamics_spec — the header spec travels as
-// raw JSON and sim/dynamics.cpp parses it — so trace.{h,cpp} stays a
-// leaf below the dynamics layer.
+// layer knows nothing about dynamics_spec — the header spec travels as a
+// parsed JSON object and sim/dynamics.cpp reads its knobs — so
+// trace.{h,cpp} stays a leaf below the dynamics layer.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +40,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/json.h"
 
 namespace anole {
 
@@ -71,14 +73,14 @@ struct trace_event {
 };
 
 // A parsed trace file: the recorded footprint shape, the resolved
-// schedule seed, the recorded spec knobs (raw JSON — parsed by the
-// dynamics layer), and the flat event list.
+// schedule seed, the recorded spec knobs (a JSON object the dynamics
+// layer reads), and the flat event list.
 struct trace_log {
     std::size_t n = 0;       // nodes in the footprint
     std::size_t slots = 0;   // 2m directed-edge slots
     std::size_t edges = 0;   // undirected footprint edges
     std::uint64_t seed = 0;  // resolved dynamics schedule seed
-    std::string spec_json;   // recorded dynamics_spec knobs, verbatim
+    json_value spec;         // recorded dynamics_spec knobs
     std::vector<trace_event> events;
 
     // Parses and structurally validates `path`. Throws anole::error with

@@ -9,13 +9,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/spectral.h"
 #include "sim/dynamics.h"
 #include "sim/engine.h"
+#include "sim/runner.h"
+#include "util/json.h"
 
 namespace anole {
 namespace {
@@ -92,6 +96,19 @@ std::string temp_trace(const char* tag) {
     return testing::TempDir() + "anole_trace_" + tag + ".jsonl";
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    return lines;
+}
+
+void write_lines(const std::string& path, const std::vector<std::string>& lines) {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& l : lines) out << l << "\n";
+}
+
 // --- the acceptance sweep: record -> replay, bitwise, all families ------------
 
 TEST(Trace, RecordThenReplayIsBitwiseOnAllFamilies) {
@@ -134,7 +151,7 @@ TEST(Trace, ReplayCanReRecordIdentically) {
     const trace_log b = trace_log::load(second);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.spec_json, b.spec_json);
+    EXPECT_EQ(read_lines(first).front(), read_lines(second).front());  // headers
     std::remove(first.c_str());
     std::remove(second.c_str());
 }
@@ -156,20 +173,204 @@ TEST(Trace, RecordedSpecOverridesCallerKnobs) {
     std::remove(path.c_str());
 }
 
+// --- probe-driven adversaries --------------------------------------------------
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+std::string outcome_of(const run_record& rec) {
+    std::ostringstream os;
+    const phase_counters t = rec.totals();
+    os << rec.verdict() << " rounds=" << rec.rounds() << " leaders=" << rec.num_leaders()
+       << " msgs=" << t.messages << " bits=" << t.bits
+       << " congest=" << t.congest_rounds << " oracle=" << rec.oracle().summary();
+    return os.str();
+}
+
+// The adaptive and membership adversaries under the real drivers, which
+// install a status probe: the assassin sees revocable's standing leaders
+// and the cut churner sees gilbert's and cautious broadcast's decision
+// boundaries, so their traces carry `acrash` and `ckill` lines (the
+// probe-less chatterbox runs above only ever emit `akill`). Replaying
+// each trace while re-recording it must reproduce the outcome, and the
+// second trace file must equal the first byte for byte.
+TEST(Trace, ProbeDrivenAdversariesReplayBitwise) {
+    auto rv = revocable_params::scaled(std::nullopt, 0.02, 0.12);
+    rv.k_cap = 16;
+    struct adversary {
+        const char* preset;
+        std::vector<algo_config> algos;
+        std::vector<trace_kind> expected;  // kinds the traces must contain
+    };
+    const std::vector<adversary> adversaries = {
+        {"assassin", {revocable_cfg{rv, false, 200'000}}, {trace_kind::adaptive_crash}},
+        {"cutchurn", {gilbert_cfg{}, cautious_cfg{}}, {trace_kind::cut_kill}},
+        {"member",
+         {flood_cfg{}, revocable_cfg{rv, false, 200'000}},
+         {trace_kind::leave, trace_kind::join}},
+    };
+    for (const adversary& adv : adversaries) {
+        std::vector<std::size_t> seen(adv.expected.size(), 0);
+        for (const graph_family f : {graph_family::cycle, graph_family::wheel}) {
+            const graph g = make_family(f, 12, 2);
+            const graph_profile prof = profile(g);
+            for (std::size_t a = 0; a < adv.algos.size(); ++a) {
+                for (const std::uint64_t seed : {3, 4}) {
+                    const std::string tag = std::string(adv.preset) + "_" + to_string(f) +
+                                            "_" + std::to_string(a) + "_" +
+                                            std::to_string(seed);
+                    const std::string first = temp_trace((tag + "_a").c_str());
+                    const std::string second = temp_trace((tag + "_b").c_str());
+                    dynamics_spec rec = *dynamics_preset(adv.preset);
+                    rec.trace_record = first;
+                    const run_record recorded =
+                        scenario_runner::run_once(g, prof, adv.algos[a], seed, rec);
+                    ASSERT_TRUE(recorded.ok) << tag << ": " << recorded.error;
+
+                    dynamics_spec replay;
+                    replay.trace_replay = first;
+                    replay.trace_record = second;
+                    const run_record replayed =
+                        scenario_runner::run_once(g, prof, adv.algos[a], seed, replay);
+                    ASSERT_TRUE(replayed.ok) << tag << ": " << replayed.error;
+                    EXPECT_EQ(outcome_of(replayed), outcome_of(recorded)) << tag;
+                    EXPECT_EQ(read_file(second), read_file(first)) << tag;
+
+                    for (const trace_event& ev : trace_log::load(first).events) {
+                        for (std::size_t k = 0; k < adv.expected.size(); ++k) {
+                            seen[k] += ev.kind == adv.expected[k];
+                        }
+                    }
+                    std::remove(first.c_str());
+                    std::remove(second.c_str());
+                }
+            }
+        }
+        for (std::size_t k = 0; k < adv.expected.size(); ++k) {
+            EXPECT_GT(seen[k], 0u) << adv.preset << " never emitted "
+                                   << to_string(adv.expected[k]);
+        }
+    }
+}
+
+// --- pinned spec JSON -----------------------------------------------------------
+
+// Trace headers and campaign resume keys carry dynamics_spec::to_json(),
+// so its bytes are pinned: every preset, and one spec with every knob set
+// (strings with characters that need escaping included).
+TEST(Trace, SpecJsonPinnedForEveryPresetAndKnob) {
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"static",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"rewire",
+         R"({"rewire_prob":0,"rewire_period":1,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"churn",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0.25,)"
+         R"("churn_interval":8,"protect_backbone":true,"loss_prob":0,"crash_prob":0,)"
+         R"("sleep_prob":0,"sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"loss",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0.050000000000000003,"crash_prob":0,)"
+         R"("sleep_prob":0,"sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"crash",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0.001,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"sleep",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0.01,)"
+         R"("sleep_rounds":8,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"storm",
+         R"({"rewire_prob":0.10000000000000001,"rewire_period":0,)"
+         R"("edge_down_prob":0.14999999999999999,"churn_interval":4,)"
+         R"("protect_backbone":true,"loss_prob":0.02,"crash_prob":0,)"
+         R"("sleep_prob":0.0050000000000000001,"sleep_rounds":4,"strategy":"none",)"
+         R"("strategy_intensity":1,"strategy_grace":1,"strategy_max_kills":1,)"
+         R"("leave_prob":0,"join_prob":0,"seed":0})"},
+        {"frontier",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"target_frontier_loss",)"
+         R"("strategy_intensity":0.5,"strategy_grace":1,"strategy_max_kills":1,)"
+         R"("leave_prob":0,"join_prob":0,"seed":0})"},
+        {"assassin",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"leader_assassin","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0,"join_prob":0,)"
+         R"("seed":0})"},
+        {"cutchurn",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"cut_churn",)"
+         R"("strategy_intensity":0.59999999999999998,"strategy_grace":1,)"
+         R"("strategy_max_kills":1,"leave_prob":0,"join_prob":0,"seed":0})"},
+        {"member",
+         R"({"rewire_prob":0,"rewire_period":0,"edge_down_prob":0,"churn_interval":1,)"
+         R"("protect_backbone":true,"loss_prob":0,"crash_prob":0,"sleep_prob":0,)"
+         R"("sleep_rounds":4,"strategy":"none","strategy_intensity":1,)"
+         R"("strategy_grace":1,"strategy_max_kills":1,"leave_prob":0.01,)"
+         R"("join_prob":0.050000000000000003,"seed":0})"},
+    };
+    const auto presets = all_dynamics_presets();
+    ASSERT_EQ(presets.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        EXPECT_EQ(presets[i].first, pinned[i].first);
+        EXPECT_EQ(presets[i].second.to_json(), pinned[i].second) << pinned[i].first;
+    }
+
+    dynamics_spec d;
+    d.rewire_prob = 0.125;
+    d.rewire_period = 3;
+    d.edge_down_prob = 0.2;
+    d.churn_interval = 5;
+    d.protect_backbone = false;
+    d.loss_prob = 0.05;
+    d.crash_prob = 0.001;
+    d.sleep_prob = 0.01;
+    d.sleep_rounds = 6;
+    d.strategy = adaptive_kind::cut_churn;
+    d.strategy_intensity = 0.6;
+    d.strategy_grace = 2;
+    d.strategy_max_kills = 3;
+    d.leave_prob = 0.01;
+    d.join_prob = 0.05;
+    d.trace_record = "rec \"x\".jsonl";
+    d.trace_replay = "in\\r.jsonl";
+    d.seed = 987654321;
+    EXPECT_EQ(d.to_json(),
+              R"({"rewire_prob":0.125,"rewire_period":3,)"
+              R"("edge_down_prob":0.20000000000000001,"churn_interval":5,)"
+              R"("protect_backbone":false,"loss_prob":0.050000000000000003,)"
+              R"("crash_prob":0.001,"sleep_prob":0.01,"sleep_rounds":6,)"
+              R"("strategy":"cut_churn","strategy_intensity":0.59999999999999998,)"
+              R"("strategy_grace":2,"strategy_max_kills":3,"leave_prob":0.01,)"
+              R"("join_prob":0.050000000000000003,"trace_record":"rec \"x\".jsonl",)"
+              R"("trace_replay":"in\\r.jsonl","seed":987654321})");
+    EXPECT_EQ(dynamics_from_json(json_parse(d.to_json())).second, d);
+}
+
 // --- tamper rejection ---------------------------------------------------------
-
-std::vector<std::string> read_lines(const std::string& path) {
-    std::ifstream in(path);
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    return lines;
-}
-
-void write_lines(const std::string& path, const std::vector<std::string>& lines) {
-    std::ofstream out(path, std::ios::trunc);
-    for (const auto& l : lines) out << l << "\n";
-}
 
 // Records a dense trace on a small cycle; every tamper case below edits
 // this file and expects a *clear* rejection, not a silent divergence.
@@ -250,6 +451,24 @@ TEST(Trace, UnknownEventKindIsRejected) {
     std::remove(path.c_str());
 }
 
+// A kill recorded twice names a slot whose message is already gone:
+// replay rejects it at the kill itself, not at a later round boundary
+// (which the last round of a run never reaches).
+TEST(Trace, DuplicatedKillIsRejected) {
+    auto lines = read_lines(record_tamper_base());
+    std::size_t last_loss = 0;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i].find("\"e\":\"loss\"") != std::string::npos) last_loss = i;
+    }
+    ASSERT_GT(last_loss, 0u) << "base trace recorded no loss events";
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(last_loss) + 1,
+                 lines[last_loss]);
+    const std::string path = temp_trace("tamper_dup_kill");
+    write_lines(path, lines);
+    expect_replay_throws(path, "hits no live message");
+    std::remove(path.c_str());
+}
+
 TEST(Trace, WrongTopologyIsRejected) {
     // A cycle(8) trace replayed on a torus: the footprint check fires.
     const graph g = make_family(graph_family::torus, 16, 1);
@@ -266,6 +485,61 @@ TEST(Trace, WrongTopologyIsRejected) {
     } catch (const error& e) {
         EXPECT_NE(std::string(e.what()).find("trace"), std::string::npos)
             << "actual error: " << e.what();
+    }
+}
+
+// --- header parsing ------------------------------------------------------------
+
+// Rewrites the tamper base's header line with `edit` and returns the path
+// of the edited copy.
+std::string edited_header(const char* tag,
+                          const std::function<void(std::string&)>& edit) {
+    auto lines = read_lines(record_tamper_base());
+    edit(lines.front());
+    const std::string path = temp_trace(tag);
+    write_lines(path, lines);
+    return path;
+}
+
+run_digest replay_tamper_base(const std::string& path) {
+    dynamics_spec replay;
+    replay.trace_replay = path;
+    return run_traced(make_cycle(8), replay, 41, 30);
+}
+
+TEST(Trace, HeaderWithSpacedSpecKeyLoads) {
+    const std::string path = edited_header("spaced_spec", [](std::string& h) {
+        const auto pos = h.find("\"spec\":");
+        ASSERT_NE(pos, std::string::npos);
+        h.replace(pos, 7, "\"spec\" : ");
+    });
+    EXPECT_EQ(replay_tamper_base(path), replay_tamper_base(record_tamper_base()));
+    std::remove(path.c_str());
+}
+
+TEST(Trace, HeaderSpecStringWithBraceLoadsWhole) {
+    const std::string path = edited_header("brace_spec", [](std::string& h) {
+        const auto pos = h.find("\"spec\":{");
+        ASSERT_NE(pos, std::string::npos);
+        h.insert(pos + 8, R"("name":"a}",)");
+    });
+    const trace_log log = trace_log::load(path);
+    EXPECT_EQ(log.spec.at("name").as_string(), "a}");
+    EXPECT_EQ(log.spec.at("loss_prob").as_number(), 0.3);
+    EXPECT_EQ(replay_tamper_base(path), replay_tamper_base(record_tamper_base()));
+    std::remove(path.c_str());
+}
+
+TEST(Trace, HeaderSeedMustBePlainDecimal) {
+    for (const char* bad : {"12abc", "-1", "", " 12", "+12", "18446744073709551616"}) {
+        const std::string path = edited_header("bad_seed", [&](std::string& h) {
+            const auto open = h.find("\"seed\":\"");
+            ASSERT_NE(open, std::string::npos);
+            const auto close = h.find('"', open + 8);
+            h.replace(open + 8, close - (open + 8), bad);
+        });
+        expect_replay_throws(path, "not a plain decimal integer");
+        std::remove(path.c_str());
     }
 }
 

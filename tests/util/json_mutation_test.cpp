@@ -1,8 +1,9 @@
 // Seeded mutation tests for the JSON parser and the line readers built on
 // it. Real lines of every JSONL format anole reads back — a campaign
-// record, a ledger schema header, a profile-cache entry and a lease body
-// — are mutated deterministically (byte flips, truncations, insertions)
-// and every mutant must either parse or throw anole::error: never crash,
+// record, a ledger schema header, a profile-cache entry, a lease body and
+// a dynamics trace's header and event lines — are mutated
+// deterministically (byte flips, truncations, insertions) and every
+// mutant must either parse or throw anole::error: never crash,
 // read out of bounds (the sanitizer CI lane runs this suite) or leak any
 // other exception type.
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include "graph/generators.h"
 #include "graph/spectral.h"
 #include "sim/campaign.h"
+#include "sim/dynamics.h"
 #include "sim/fleet.h"
 #include "sim/profile_cache.h"
+#include "sim/trace.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -160,6 +163,46 @@ TEST(JsonMutation, LeaseBody) {
     });
     EXPECT_GT(parsed, 0u);
     EXPECT_LT(parsed, 3 * kMutantsPerKind);
+    std::remove(path.c_str());
+}
+
+// A trace is a header line plus event lines; each mutant replaces one of
+// them in an otherwise valid file. Loading, the footprint check and the
+// spec knobs the replay reads must accept it or throw anole::error.
+TEST(JsonMutation, TraceLines) {
+    const std::string path = temp_file("trace.jsonl");
+    dynamics_spec spec;
+    spec.loss_prob = 0.25;
+    spec.sleep_prob = 0.5;
+    spec.strategy = adaptive_kind::cut_churn;
+    {
+        trace_writer w(path, 8, 16, 8, 0xFEEDFACECAFEBEEFULL, spec.to_json());
+        w.record(0, trace_kind::window_reset);
+        w.record(0, trace_kind::edge_down, 5);
+        w.record(1, trace_kind::loss_kill, 12);
+        w.record(2, trace_kind::sleep, 3, 6);
+    }
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 5u);
+    for (const std::size_t which : {std::size_t{0}, std::size_t{3}, std::size_t{4}}) {
+        const auto consume = [&](const std::string& m) {
+            std::string file;
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                file += (i == which ? m : lines[i]) + "\n";
+            }
+            write_file(path, file);
+            const trace_log log = trace_log::load(path);
+            log.check_against(8, 16, 8);
+            (void)dynamics_from_json(log.spec);
+        };
+        const std::size_t parsed = run_mutants(lines[which], 5 + which, consume);
+        EXPECT_GT(parsed, 0u) << "line " << which;
+        EXPECT_LT(parsed, 3 * kMutantsPerKind) << "line " << which;
+    }
     std::remove(path.c_str());
 }
 
