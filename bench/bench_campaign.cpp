@@ -33,12 +33,17 @@
 //                      ledger (byte-identical to a single-worker run)
 //   --report FILE.html write the self-contained HTML report (sim/report.h)
 //                      after running / merging
+//
+// After the aggregate table comes the claims table (sim/claims.h): the
+// paper's Table 1 and Theorem 1 shapes checked over the static cells.
+// A failing claim makes the run and --merge exit 1.
 #include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "bench/common.h"
 #include "sim/campaign.h"
+#include "sim/claims.h"
 #include "sim/fleet.h"
 #include "sim/report.h"
 
@@ -64,6 +69,23 @@ namespace {
     }
     std::printf(" or 'all' (docs/DYNAMICS.md).\n");
     std::exit(code);
+}
+
+// Prints the aggregate table, then the claims table when a claim
+// applies; false when one of them fails.
+bool emit_tables(const std::vector<campaign_record>& records, bool csv, bool json) {
+    options opt;  // reuse the shared table emitter for --csv/--json
+    opt.csv = csv;
+    opt.json = json;
+    emit(campaign_table(records), opt, "CAMPAIGN: aggregate by cell");
+    const std::vector<claim_result> claims = evaluate_claims(records);
+    if (claims.empty()) return true;
+    emit(claims_table(claims), opt, "CLAIMS: the paper's shapes over the static cells");
+    const std::vector<std::string> failed = failed_claims(claims);
+    std::printf("\nclaims: %zu checked, %zu failed", claims.size(), failed.size());
+    for (const std::string& name : failed) std::printf(" %s", name.c_str());
+    std::printf("\n");
+    return failed.empty();
 }
 
 }  // namespace
@@ -225,10 +247,7 @@ int main(int argc, char** argv) {
                         mr.shards, mr.records, mr.covered, mr.total_units,
                         mr.duplicates, mr.foreign);
             const auto records = load_campaign_ledger(spec.output);
-            options opt;
-            opt.csv = emit_csv;
-            opt.json = emit_json;
-            emit(campaign_table(records), opt, "CAMPAIGN: aggregate by cell");
+            const bool claims_hold = emit_tables(records, emit_csv, emit_json);
             if (!report_path.empty()) {
                 report_options ro;
                 ro.expected_units = mr.total_units;
@@ -236,11 +255,11 @@ int main(int argc, char** argv) {
                 write_campaign_report(report_path, records, ro);
                 std::printf("report: %s\n", report_path.c_str());
             }
+            return claims_hold ? 0 : 1;
         } catch (const std::exception& e) {
             std::fprintf(stderr, "error: %s\n", e.what());
             return 1;
         }
-        return 0;
     }
 
     if (worker_mode) {
@@ -277,10 +296,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    options opt;  // reuse the shared table emitter for --csv/--json
-    opt.csv = emit_csv;
-    opt.json = emit_json;
-    emit(campaign_table(report.records), opt, "CAMPAIGN: aggregate by cell");
+    const bool claims_hold = emit_tables(report.records, emit_csv, emit_json);
 
     std::printf("\ncampaign: %zu executed, %zu skipped (already recorded), "
                 "%zu failed; %zu/%zu units recorded%s%s\n",
@@ -306,5 +322,5 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    return report.failed == 0 ? 0 : 1;
+    return report.failed == 0 && claims_hold ? 0 : 1;
 }

@@ -8,7 +8,6 @@
 
 #include "util/atomic_file.h"
 #include "util/json.h"
-#include "util/stats.h"
 
 namespace anole {
 
@@ -67,13 +66,22 @@ void campaign_spec::validate() const {
     require(!sizes.empty(), "campaign: need at least one size");
     require(!variants.empty(), "campaign: need at least one variant");
     require(seeds >= 1, "campaign: seeds >= 1");
-    std::set<std::string> names;
+    // A repeated axis entry would expand into units that share one key.
+    const auto distinct = [](const auto& axis, const char* what, const auto& name) {
+        std::set<std::string> seen;
+        for (const auto& v : axis) {
+            require(seen.insert(name(v)).second,
+                    std::string("campaign: duplicate ") + what + " '" + name(v) + "'");
+        }
+    };
+    distinct(families, "family", [](graph_family f) { return std::string(to_string(f)); });
+    distinct(sizes, "size", [](std::size_t n) { return std::to_string(n); });
+    distinct(variants, "variant", [](algo_kind k) { return std::string(to_string(k)); });
+    distinct(dynamics, "dynamics name", [](const auto& d) { return d.first; });
     for (const auto& [name, d] : dynamics) {
         require(!name.empty(), "campaign: dynamics axis entries need names");
         require(name.find('/') == std::string::npos,
                 "campaign: dynamics name must not contain '/' (it keys records)");
-        require(names.insert(name).second,
-                "campaign: duplicate dynamics name '" + name + "'");
         d.validate();
     }
 }
@@ -270,34 +278,35 @@ campaign_record campaign_record::from_json(std::string_view line) {
 
 // --- aggregation ------------------------------------------------------------
 
+std::vector<campaign_cell> campaign_cells(const std::vector<campaign_record>& records) {
+    std::vector<campaign_cell> cells;
+    std::map<std::string, std::size_t> at;
+    for (const campaign_record& r : records) {
+        std::string k = std::string(to_string(r.unit.family)) + "/" +
+                        std::to_string(r.unit.n) + "/" + to_string(r.unit.variant);
+        if (!r.unit.dynamics_name.empty()) k += "@" + r.unit.dynamics_name;
+        const auto [it, inserted] = at.try_emplace(std::move(k), cells.size());
+        if (inserted) cells.emplace_back().head = &r;
+        campaign_cell& c = cells[it->second];
+        ++c.runs;
+        if (!r.ok) continue;
+        ++c.ok;
+        if (r.leaders == 1) ++c.elected;
+        if (r.oracle_ok) ++c.safe;
+        c.messages.add(static_cast<double>(r.messages));
+        c.rounds.add(static_cast<double>(r.rounds));
+    }
+    return cells;
+}
+
 text_table campaign_table(const std::vector<campaign_record>& records) {
     text_table t({"family", "n", "variant", "runs", "ok", "elected", "safe", "phi",
                   "tmix", "messages", "rounds"});
-    // Group by (family, n, variant) preserving first-appearance order.
-    std::vector<std::string> order;
-    std::map<std::string, std::vector<const campaign_record*>> groups;
-    for (const auto& r : records) {
-        std::string k = std::string(to_string(r.unit.family)) + "/" +
-                        std::to_string(r.unit.n) + "/" +
-                        to_string(r.unit.variant);
-        if (!r.unit.dynamics_name.empty()) k += "@" + r.unit.dynamics_name;
-        auto [it, inserted] = groups.try_emplace(k);
-        if (inserted) order.push_back(k);
-        it->second.push_back(&r);
-    }
-    for (const std::string& k : order) {
-        const auto& g = groups[k];
-        std::size_t ok = 0, elected = 0, safe = 0;
-        sample_stats msgs, rounds;
-        for (const campaign_record* r : g) {
-            if (!r->ok) continue;
-            ++ok;
-            if (r->leaders == 1) ++elected;
-            if (r->oracle_ok) ++safe;
-            msgs.add(static_cast<double>(r->messages));
-            rounds.add(static_cast<double>(r->rounds));
-        }
-        const campaign_record& head = *g.front();
+    const auto mean = [](const sample_stats& s) {
+        return s.empty() ? "-" : fmt_count(static_cast<std::uint64_t>(s.mean()));
+    };
+    for (const campaign_cell& c : campaign_cells(records)) {
+        const campaign_record& head = *c.head;
         // Dynamics-axis cells render as "variant@model" in the existing
         // column so the table schema never changes shape.
         std::string variant_cell = to_string(head.unit.variant);
@@ -305,18 +314,12 @@ text_table campaign_table(const std::vector<campaign_record>& records) {
             variant_cell += "@" + head.unit.dynamics_name;
         }
         t.add_row({to_string(head.unit.family), std::to_string(head.unit.n),
-                   variant_cell,
-                   std::to_string(g.size()),
-                   std::to_string(ok) + "/" + std::to_string(g.size()),
-                   std::to_string(elected) + "/" + std::to_string(ok),
-                   std::to_string(safe) + "/" + std::to_string(ok),
-                   fmt_fixed(head.phi, 5), std::to_string(head.tmix),
-                   msgs.empty()
-                       ? "-"
-                       : fmt_count(static_cast<std::uint64_t>(msgs.mean())),
-                   rounds.empty()
-                       ? "-"
-                       : fmt_count(static_cast<std::uint64_t>(rounds.mean()))});
+                   variant_cell, std::to_string(c.runs),
+                   std::to_string(c.ok) + "/" + std::to_string(c.runs),
+                   std::to_string(c.elected) + "/" + std::to_string(c.ok),
+                   std::to_string(c.safe) + "/" + std::to_string(c.ok),
+                   fmt_fixed(head.phi, 5), std::to_string(head.tmix), mean(c.messages),
+                   mean(c.rounds)});
     }
     return t;
 }

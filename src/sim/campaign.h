@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "sim/runner.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 namespace anole {
@@ -175,6 +176,24 @@ struct campaign_report {
     // All units in expansion order, recorded + fresh.
     std::vector<campaign_record> records;
 };
+
+// One aggregate cell: the records of one (family, n, variant, dynamics)
+// coordinate. campaign_table, the report and the claims pass
+// (sim/claims.h) all aggregate through campaign_cells.
+struct campaign_cell {
+    const campaign_record* head = nullptr;  // the cell's first record
+    std::size_t runs = 0;
+    std::size_t ok = 0;
+    std::size_t elected = 0;  // ok runs with exactly one leader
+    std::size_t safe = 0;     // ok runs the safety oracle passed
+    sample_stats messages;    // over the ok runs
+    sample_stats rounds;
+};
+
+// The cells of `records` in first-appearance order. Each cell points
+// into `records`, which must outlive it.
+[[nodiscard]] std::vector<campaign_cell> campaign_cells(
+    const std::vector<campaign_record>& records);
 
 // Aggregate per-(family, n, variant) table over the records: run/ok
 // counts, election rate, message/round statistics, profile columns.

@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "graph/layout.h"
+#include "sim/claims.h"
 #include "sim/thread_pool.h"
 #include "util/atomic_file.h"
 #include "util/stats.h"
@@ -100,51 +101,33 @@ struct family_chart {
     std::vector<chart_series> series;
 };
 
-// Per-family mean complexity series over the ok records, families and
-// series in first-appearance order, points sorted by n.
+// Per-family mean complexity series over the cells with ok runs,
+// families and series in first-appearance order, points sorted by n.
 std::vector<family_chart> extract_charts(const std::vector<campaign_record>& records) {
     std::vector<family_chart> charts;
     std::map<std::string, std::size_t> family_at;
     std::map<std::string, std::size_t> dyn_index;
-    for (const campaign_record& r : records) {
-        if (!r.ok) continue;
-        const std::string fkey = to_string(r.unit.family);
-        auto [fit, fnew] = family_at.try_emplace(fkey, charts.size());
-        if (fnew) charts.push_back(family_chart{r.unit.family, {}});
+    for (const campaign_cell& c : campaign_cells(records)) {
+        if (c.ok == 0) continue;
+        const campaign_unit& u = c.head->unit;
+        auto [fit, fnew] = family_at.try_emplace(to_string(u.family), charts.size());
+        if (fnew) charts.push_back(family_chart{u.family, {}});
         family_chart& fc = charts[fit->second];
 
-        auto [dit, dnew] =
-            dyn_index.try_emplace(r.unit.dynamics_name, dyn_index.size());
+        auto [dit, dnew] = dyn_index.try_emplace(u.dynamics_name, dyn_index.size());
         chart_series* sp = nullptr;
         for (chart_series& s : fc.series) {
-            if (s.variant == r.unit.variant && s.dynamics == r.unit.dynamics_name) {
+            if (s.variant == u.variant && s.dynamics == u.dynamics_name) {
                 sp = &s;
                 break;
             }
         }
         if (sp == nullptr) {
-            fc.series.push_back(
-                chart_series{r.unit.variant, r.unit.dynamics_name, dit->second, {}});
+            fc.series.push_back(chart_series{u.variant, u.dynamics_name, dit->second, {}});
             sp = &fc.series.back();
         }
-        series_point* pp = nullptr;
-        for (series_point& p : sp->points) {
-            if (p.n == r.unit.n) {
-                pp = &p;
-                break;
-            }
-        }
-        if (pp == nullptr) {
-            sp->points.push_back(series_point{r.unit.n, 0, 0, 0});
-            pp = &sp->points.back();
-        }
-        // Streaming mean update.
-        const double w = static_cast<double>(pp->runs);
-        pp->mean_messages = (pp->mean_messages * w + static_cast<double>(r.messages)) /
-                            (w + 1);
-        pp->mean_rounds =
-            (pp->mean_rounds * w + static_cast<double>(r.rounds)) / (w + 1);
-        ++pp->runs;
+        sp->points.push_back(
+            series_point{u.n, c.messages.mean(), c.rounds.mean(), c.ok});
     }
     for (family_chart& fc : charts) {
         for (chart_series& s : fc.series) {
@@ -304,8 +287,7 @@ std::string tiles_html(const std::vector<campaign_record>& records,
     return s;
 }
 
-std::string table_html(const std::vector<campaign_record>& records) {
-    const text_table t = campaign_table(records);
+std::string table_html(const text_table& t) {
     std::string s = "<table><thead><tr>";
     for (const std::string& h : t.header()) s += "<th>" + html_escape(h) + "</th>";
     s += "</tr></thead><tbody>";
@@ -356,6 +338,21 @@ std::string safety_html(const std::vector<campaign_record>& records) {
         s += "</ul>";
     }
     return s;
+}
+
+// The verdict line and the claims table (sim/claims.h).
+std::string claims_html(const std::vector<claim_result>& claims) {
+    const std::vector<std::string> failed = failed_claims(claims);
+    std::string s;
+    if (failed.empty()) {
+        s += "<p class=\"status-good\">✓ all " + std::to_string(claims.size()) +
+             " applicable claim(s) hold.</p>";
+    } else {
+        s += "<p class=\"status-crit\">✗ failed:";
+        for (const std::string& name : failed) s += " <code>" + html_escape(name) + "</code>";
+        s += "</p>";
+    }
+    return s + table_html(claims_table(claims));
 }
 
 std::string gallery_html(const std::vector<campaign_record>& records,
@@ -536,7 +533,13 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
     }
 
     html += "<h2>aggregate table</h2>";
-    html += table_html(records);
+    html += table_html(campaign_table(records));
+
+    const std::vector<claim_result> claims = evaluate_claims(records);
+    if (!claims.empty()) {
+        html += "<h2>claims</h2>";
+        html += claims_html(claims);
+    }
 
     html += "<h2>safety</h2>";
     html += safety_html(records);

@@ -13,6 +13,8 @@
 //     native <title> tooltips on every marker;
 //   * the full aggregate table (the same grouping campaign_table
 //     prints) — the accessible fallback for every chart above it;
+//   * a claims section (sim/claims.h), only when a claim applies: the
+//     verdict line and the claims table bench_campaign prints;
 //   * a safety section listing oracle violations and failed units;
 //   * a topology gallery: one force-directed thumbnail per family at the
 //     largest recorded size, laid out by graph/layout.h (multilevel

@@ -83,6 +83,40 @@ TEST(Campaign, SpecFromJsonParsesSchemaAndAliases) {
                  error);
 }
 
+TEST(Campaign, DuplicateAxisEntriesAreRejectedAfterAliasResolution) {
+    // JSON path: "flood" and "flood_max" name one variant, "ws" and
+    // "watts_strogatz" one family; either pair would expand into units
+    // that share one key.
+    const auto rejects = [](const std::string& json, const std::string& what) {
+        try {
+            (void)campaign_spec_from_json(json);
+        } catch (const error& e) {
+            return std::string(e.what()).find("duplicate " + what) != std::string::npos;
+        }
+        return false;
+    };
+    EXPECT_TRUE(rejects(R"({"families": ["ws", "watts_strogatz"], "sizes": [8],
+                           "variants": ["flood"]})",
+                        "family 'watts_strogatz'"));
+    EXPECT_TRUE(rejects(R"({"families": ["cycle"], "sizes": [8, 16, 8],
+                           "variants": ["flood"]})",
+                        "size '8'"));
+    EXPECT_TRUE(rejects(R"({"families": ["cycle"], "sizes": [8],
+                           "variants": ["flood", "flood_max"]})",
+                        "variant 'flood_max'"));
+    // The flag path builds the same spec and validates it before running
+    // (bench/CMakeLists.txt also drives bench_campaign's flags).
+    campaign_spec spec = tiny_spec();
+    spec.families = {graph_family::cycle, graph_family::cycle};
+    EXPECT_THROW(spec.validate(), error);
+    EXPECT_THROW((void)expand(spec), error);
+    spec.families = {graph_family::cycle};
+    spec.variants = {algo_kind::flood_max, algo_kind::irrevocable, algo_kind::flood_max};
+    EXPECT_THROW(spec.validate(), error);
+    spec.variants = {algo_kind::flood_max};
+    EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(Campaign, RecordRoundTripsThroughJson) {
     campaign_record rec;
     rec.unit = {graph_family::barabasi_albert, 64, 3, algo_kind::revocable, 17};
