@@ -212,6 +212,16 @@ int main(int argc, char** argv) {
     if (!out_flag.empty()) spec.output = out_flag;
     if (no_out) spec.output.clear();
 
+    if (worker_mode && merge_mode) {
+        std::fprintf(stderr, "error: --worker and --merge are exclusive\n");
+        return 2;
+    }
+    if ((worker_mode || merge_mode) && spec.output.empty()) {
+        std::fprintf(stderr, "error: fleet modes need a ledger (--out, not "
+                             "--no-out)\n");
+        return 2;
+    }
+
     try {
         spec.validate();
     } catch (const std::exception& e) {
@@ -227,16 +237,6 @@ int main(int argc, char** argv) {
                     spec.variants.size(),
                     std::max<std::size_t>(spec.dynamics.size(), 1), spec.seeds);
         return 0;
-    }
-
-    if (worker_mode && merge_mode) {
-        std::fprintf(stderr, "error: --worker and --merge are exclusive\n");
-        return 2;
-    }
-    if ((worker_mode || merge_mode) && spec.output.empty()) {
-        std::fprintf(stderr, "error: fleet modes need a ledger (--out, not "
-                             "--no-out)\n");
-        return 2;
     }
 
     if (merge_mode) {

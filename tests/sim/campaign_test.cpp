@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -115,6 +116,23 @@ TEST(Campaign, DuplicateAxisEntriesAreRejectedAfterAliasResolution) {
     EXPECT_THROW(spec.validate(), error);
     spec.variants = {algo_kind::flood_max};
     EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(Campaign, CommittedSpecsParseValidateAndExpand) {
+    // Every bench/specs/*.json must load the way `bench_campaign --spec`
+    // loads it and expand into at least one unit.
+    std::size_t specs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(ANOLE_SOURCE_DIR) + "/bench/specs")) {
+        if (entry.path().extension() != ".json") continue;
+        ++specs;
+        SCOPED_TRACE(entry.path().filename().string());
+        campaign_spec spec;
+        ASSERT_NO_THROW(spec = campaign_spec_from_json(slurp(entry.path().string())));
+        EXPECT_NO_THROW(spec.validate());
+        EXPECT_FALSE(expand(spec).empty());
+    }
+    EXPECT_GT(specs, 0u);
 }
 
 TEST(Campaign, RecordRoundTripsThroughJson) {
