@@ -1,6 +1,7 @@
 #include "graph/lanczos.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "sim/thread_pool.h"
@@ -32,24 +33,62 @@ void for_blocks(std::size_t n, thread_pool* pool, Fn&& fn) {
     });
 }
 
-// Blocked dot product with deterministic (block-order) reduction.
-double dot_det(const std::vector<double>& x, const std::vector<double>& y,
-               std::vector<double>& partial, thread_pool* pool) {
-    const std::size_t n = x.size();
+// Sum over fixed blocks of block_sum(lo, hi), reduced in block order.
+template <class Fn>
+double sum_blocks(std::size_t n, thread_pool* pool, std::vector<double>& partial,
+                  Fn&& block_sum) {
     partial.assign(num_blocks(n), 0.0);
     for_blocks(n, pool, [&](std::size_t b, std::size_t lo, std::size_t hi) {
-        double s = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) s += x[i] * y[i];
-        partial[b] = s;
+        partial[b] = block_sum(lo, hi);
     });
     double s = 0.0;
     for (double p : partial) s += p;
     return s;
 }
 
-double norm2_det(const std::vector<double>& x, std::vector<double>& partial,
-                 thread_pool* pool) {
-    return std::sqrt(dot_det(x, x, partial, pool));
+double dot_det(const std::vector<double>& x, const std::vector<double>& y,
+               std::vector<double>& partial, thread_pool* pool) {
+    return sum_blocks(x.size(), pool, partial, [&](std::size_t lo, std::size_t hi) {
+        double s = 0.0;
+        for (std::size_t i = lo; i < hi; ++i) s += x[i] * y[i];
+        return s;
+    });
+}
+
+// w -= c * x, then dot(w, y), in one element loop: element i is updated
+// before it is read and each block still sums in index order, so the
+// result has the bits of the separate axpy and dot. y may be w itself.
+double axpy_dot_det(std::vector<double>& w, double c, const std::vector<double>& x,
+                    const std::vector<double>& y, std::vector<double>& partial,
+                    thread_pool* pool) {
+    return sum_blocks(w.size(), pool, partial, [&](std::size_t lo, std::size_t hi) {
+        double s = 0.0;
+        for (std::size_t i = lo; i < hi; ++i) {
+            w[i] -= c * x[i];
+            s += w[i] * y[i];
+        }
+        return s;
+    });
+}
+
+// w -= c * x, then ‖w‖₂.
+double axpy_norm_det(std::vector<double>& w, double c, const std::vector<double>& x,
+                     std::vector<double>& partial, thread_pool* pool) {
+    return std::sqrt(axpy_dot_det(w, c, x, w, partial, pool));
+}
+
+// One modified Gram–Schmidt pass of w against the basis, then the top
+// eigenvector; returns ‖w‖₂ afterwards. Each projection's axpy shares
+// its element loop with the next dot.
+double mgs_pass(std::vector<double>& w, const std::vector<std::vector<double>>& basis,
+                const std::vector<double>& top, std::vector<double>& partial,
+                thread_pool* pool) {
+    double h = dot_det(w, basis[0], partial, pool);
+    for (std::size_t k = 1; k < basis.size(); ++k) {
+        h = axpy_dot_det(w, h, basis[k - 1], basis[k], partial, pool);
+    }
+    h = axpy_dot_det(w, h, basis.back(), top, partial, pool);
+    return axpy_norm_det(w, h, top, partial, pool);
 }
 
 // y = N x with N = I/2 + D^{-1/2} A D^{-1/2} / 2, in gather form: each
@@ -72,24 +111,21 @@ void lazy_sym_matvec(const graph& g, const std::vector<double>& x,
     });
 }
 
-// w -= c * v, blocked.
-void axpy_det(std::vector<double>& w, double c, const std::vector<double>& v,
-              thread_pool* pool) {
-    for_blocks(w.size(), pool, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) w[i] -= c * v[i];
-    });
-}
-
 // Number of eigenvalues of the j×j tridiagonal (alpha, beta) strictly
-// below x (Sturm sequence count).
-std::size_t sturm_count(const std::vector<double>& alpha,
-                        const std::vector<double>& beta, std::size_t j, double x) {
-    std::size_t count = 0;
-    double q = 1.0;
+// below each x[k] (Sturm sequence counts). The three chains are
+// independent and interleaved, so their divisions overlap; each one
+// computes exactly what a sweep of its own would.
+std::array<std::size_t, 3> sturm_counts(const std::vector<double>& alpha,
+                                        const std::vector<double>& beta, std::size_t j,
+                                        const std::array<double, 3>& x) {
+    std::array<std::size_t, 3> count{};
+    std::array<double, 3> q{1.0, 1.0, 1.0};
     for (std::size_t i = 0; i < j; ++i) {
         const double b2 = i == 0 ? 0.0 : beta[i - 1] * beta[i - 1];
-        q = alpha[i] - x - (q == 0.0 ? b2 / 1e-300 : b2 / q);
-        if (q < 0.0) ++count;
+        for (std::size_t k = 0; k < 3; ++k) {
+            q[k] = alpha[i] - x[k] - (q[k] == 0.0 ? b2 / 1e-300 : b2 / q[k]);
+            if (q[k] < 0.0) ++count[k];
+        }
     }
     return count;
 }
@@ -100,17 +136,23 @@ std::size_t sturm_count(const std::vector<double>& alpha,
 // (or equal): a further step either leaves them as they are or sets the
 // other end to mid, and 0.5·(lo + hi) stays mid either way, so returning
 // it there is exactly what the full 100 steps would return.
+// Each sweep also counts at both midpoints the following step could
+// pick, so one sweep takes two steps; the midpoints, decisions and
+// early exit are those of one step per sweep.
 double tridiag_largest(const std::vector<double>& alpha,
                        const std::vector<double>& beta, std::size_t j) {
     double lo = -0.25, hi = 1.25;
-    for (int it = 0; it < 100; ++it) {
+    for (int it = 0; it < 100; it += 2) {
         const double mid = 0.5 * (lo + hi);
         if (mid == lo || mid == hi) return mid;
-        if (sturm_count(alpha, beta, j, mid) >= j) {
-            hi = mid;  // all eigenvalues below mid
-        } else {
-            lo = mid;
-        }
+        const std::array<std::size_t, 3> count =
+            sturm_counts(alpha, beta, j, {mid, 0.5 * (lo + mid), 0.5 * (mid + hi)});
+        const bool below = count[0] >= j;  // all eigenvalues below mid
+        (below ? hi : lo) = mid;
+        // The second step's midpoint is the one counted for this half.
+        const double mid2 = 0.5 * (lo + hi);
+        if (mid2 == lo || mid2 == hi) return mid2;
+        (count[below ? 1 : 2] >= j ? hi : lo) = mid2;
     }
     return 0.5 * (lo + hi);
 }
@@ -174,7 +216,7 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
         top[u] = std::sqrt(static_cast<double>(g.degree(u)));
     }
     std::vector<double> partial;
-    const double tn = norm2_det(top, partial, pool);
+    const double tn = std::sqrt(dot_det(top, top, partial, pool));
     for (double& x : top) x /= tn;
 
     // Krylov budget: small relative to n (convergence is typically tens
@@ -199,8 +241,8 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
         xoshiro256ss rng(derive_seed(opt.seed, n, g.num_edges()));
         std::vector<double> v(n);
         for (double& x : v) x = rng.uniform01() - 0.5;
-        axpy_det(v, dot_det(v, top, partial, pool), top, pool);
-        const double nv = norm2_det(v, partial, pool);
+        const double nv =
+            axpy_norm_det(v, dot_det(v, top, partial, pool), top, partial, pool);
         require(nv > 0, "lanczos_lambda2: degenerate start");
         for_blocks(n, pool, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) v[i] /= nv;
@@ -215,11 +257,12 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
 
     for (std::size_t j = 0; j < max_iters; ++j) {
         lazy_sym_matvec(g, basis[j], inv_sqrt_d, scaled, w, pool);
-        if (j > 0) axpy_det(w, beta[j - 1], basis[j - 1], pool);
-        const double a = dot_det(w, basis[j], partial, pool);
+        const double a =
+            j > 0 ? axpy_dot_det(w, beta[j - 1], basis[j - 1], basis[j], partial, pool)
+                  : dot_det(w, basis[j], partial, pool);
         alpha.push_back(a);
-        axpy_det(w, a, basis[j], pool);
-        axpy_det(w, dot_det(w, top, partial, pool), top, pool);
+        const double c = axpy_dot_det(w, a, basis[j], top, partial, pool);
+        const double nb_raw = axpy_norm_det(w, c, top, partial, pool);
 
         // Reorthogonalize against the whole basis every step: with a lazy
         // (period-k) schedule the recurrence coefficients recorded between
@@ -228,19 +271,8 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
         // per step keeps T faithful; the *second* pass is the selective
         // part — run only when the first pass removed a macroscopic
         // component (Kahan–Parlett: "twice is enough").
-        const double nb_raw = norm2_det(w, partial, pool);
-        for (const auto& vb : basis) {
-            axpy_det(w, dot_det(w, vb, partial, pool), vb, pool);
-        }
-        axpy_det(w, dot_det(w, top, partial, pool), top, pool);
-        double nb = norm2_det(w, partial, pool);
-        if (nb < 0.5 * nb_raw) {
-            for (const auto& vb : basis) {
-                axpy_det(w, dot_det(w, vb, partial, pool), vb, pool);
-            }
-            axpy_det(w, dot_det(w, top, partial, pool), top, pool);
-            nb = norm2_det(w, partial, pool);
-        }
+        double nb = mgs_pass(w, basis, top, partial, pool);
+        if (nb < 0.5 * nb_raw) nb = mgs_pass(w, basis, top, partial, pool);
         out.iterations = j + 1;
 
         if (nb < 1e-12) {
@@ -274,8 +306,8 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
             fied[i] = s;
         }
     });
-    axpy_det(fied, dot_det(fied, top, partial, pool), top, pool);
-    const double nf = norm2_det(fied, partial, pool);
+    const double nf =
+        axpy_norm_det(fied, dot_det(fied, top, partial, pool), top, partial, pool);
     if (nf > 1e-300) {
         for_blocks(n, pool, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) fied[i] /= nf;
@@ -284,8 +316,7 @@ lanczos_result lanczos_lambda2(const graph& g, const lanczos_options& opt) {
 
     // Honest residual against the graph operator (one extra matvec).
     lazy_sym_matvec(g, fied, inv_sqrt_d, scaled, w, pool);
-    axpy_det(w, theta, fied, pool);
-    out.residual = norm2_det(w, partial, pool);
+    out.residual = axpy_norm_det(w, theta, fied, partial, pool);
     // The deflated lazy spectrum is analytically ⊆ [0, 1]; clamp the last
     // ulps of roundoff so downstream log(1 − λ₂) stays finite.
     out.lambda2 = std::clamp(theta, 0.0, 1.0);

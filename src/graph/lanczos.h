@@ -30,6 +30,16 @@
 //     order, so the result is bitwise identical for every pool size
 //     (including none) — the same jobs-invariance contract the engine's
 //     sharded rounds keep.
+//   * Both Gram–Schmidt passes run one routine that fuses each axpy
+//     w -= h_k·v_k into the element loop of the next dot (v_{k+1}, then
+//     the top vector, then w itself for the norm). Each element is
+//     updated before it is read and each block still sums in index
+//     order, so every dot has the bits of the unfused axpy-then-dot.
+//   * The Ritz value comes from Sturm bisection on T. Each sweep also
+//     counts at the two midpoints the next step could pick (three
+//     interleaved chains) and takes two steps: the same midpoints,
+//     decisions and early exit as one step per sweep, in half the
+//     dependent division chains.
 //
 // `tests/graph/lanczos_test.cpp` checks the Ritz pair against a dense
 // Jacobi reference on all 19 zoo families and enforces the determinism

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <queue>
 
+#include "sim/thread_pool.h"
+
 namespace anole {
 
 std::vector<std::uint32_t> bfs_distances(const graph& g, node_id src) {
@@ -33,49 +35,62 @@ std::uint32_t eccentricity(const graph& g, node_id src) {
     return *std::max_element(dist.begin(), dist.end());
 }
 
-std::uint32_t diameter_exact(const graph& g) {
-    // Bit-parallel all-sources BFS (Then et al., "The More the Merrier",
-    // VLDB 2014): a batch of 256 sources gives each node one bit per
-    // source in kWords 64-bit lanes, and a BFS level is one pull pass
-    // next[v] = OR over u in N(v) of frontier[u], minus seen[v]. A level
-    // that sets no bit means every source in the batch is exhausted, so
-    // the number of levels that did set one is the batch's largest
-    // eccentricity.
-    constexpr std::size_t kWords = 4;
-    constexpr std::size_t kBatch = 64 * kWords;
+namespace {
+
+// Bit-parallel all-sources BFS (Then et al., "The More the Merrier",
+// VLDB 2014): a batch of kBatch sources gives each node one bit per
+// source in kWords 64-bit lanes, and a BFS level is one pull pass
+// next[v] = OR over u in N(v) of frontier[u], minus seen[v]. A level
+// that sets no bit means every source in the batch is exhausted, so
+// the number of levels that did set one is the batch's largest
+// eccentricity. Each call owns its lane arrays, so batches can run
+// concurrently.
+constexpr std::size_t kWords = 4;
+constexpr std::size_t kBatch = 64 * kWords;
+
+std::uint32_t batch_eccentricity(const graph& g, std::size_t first) {
     const std::size_t n = g.num_nodes();
     std::vector<std::uint64_t> seen(n * kWords), frontier(n * kWords), next(n * kWords);
-    std::uint32_t diam = 0;
-    for (std::size_t first = 0; first < n; first += kBatch) {
-        std::fill(seen.begin(), seen.end(), 0);
-        std::fill(frontier.begin(), frontier.end(), 0);
-        for (std::size_t j = 0; j < std::min(kBatch, n - first); ++j) {
-            const std::size_t w = (first + j) * kWords + j / 64;
-            seen[w] = frontier[w] = std::uint64_t{1} << (j % 64);
-        }
-        std::uint32_t levels = 0;
-        for (;;) {
-            std::uint64_t grew = 0;
-            for (std::size_t v = 0; v < n; ++v) {
-                std::uint64_t acc[kWords] = {};
-                for (node_id u : g.neighbors(static_cast<node_id>(v))) {
-                    const std::uint64_t* f = &frontier[std::size_t{u} * kWords];
-                    for (std::size_t k = 0; k < kWords; ++k) acc[k] |= f[k];
-                }
-                std::uint64_t* s = &seen[v * kWords];
-                std::uint64_t* nx = &next[v * kWords];
-                for (std::size_t k = 0; k < kWords; ++k) {
-                    nx[k] = acc[k] & ~s[k];
-                    s[k] |= nx[k];
-                    grew |= nx[k];
-                }
-            }
-            if (grew == 0) break;
-            ++levels;
-            frontier.swap(next);
-        }
-        diam = std::max(diam, levels);
+    for (std::size_t j = 0; j < std::min(kBatch, n - first); ++j) {
+        const std::size_t w = (first + j) * kWords + j / 64;
+        seen[w] = frontier[w] = std::uint64_t{1} << (j % 64);
     }
+    std::uint32_t levels = 0;
+    for (;;) {
+        std::uint64_t grew = 0;
+        for (std::size_t v = 0; v < n; ++v) {
+            std::uint64_t acc[kWords] = {};
+            for (node_id u : g.neighbors(static_cast<node_id>(v))) {
+                const std::uint64_t* f = &frontier[std::size_t{u} * kWords];
+                for (std::size_t k = 0; k < kWords; ++k) acc[k] |= f[k];
+            }
+            std::uint64_t* s = &seen[v * kWords];
+            std::uint64_t* nx = &next[v * kWords];
+            for (std::size_t k = 0; k < kWords; ++k) {
+                nx[k] = acc[k] & ~s[k];
+                s[k] |= nx[k];
+                grew |= nx[k];
+            }
+        }
+        if (grew == 0) return levels;
+        ++levels;
+        frontier.swap(next);
+    }
+}
+
+}  // namespace
+
+std::uint32_t diameter_exact(const graph& g, thread_pool* pool) {
+    const std::size_t batches = (g.num_nodes() + kBatch - 1) / kBatch;
+    std::vector<std::uint32_t> levels(batches);
+    const auto run = [&](std::size_t b) { levels[b] = batch_eccentricity(g, b * kBatch); };
+    if (pool == nullptr || batches <= 1) {
+        for (std::size_t b = 0; b < batches; ++b) run(b);
+    } else {
+        pool->parallel_for(batches, run);
+    }
+    std::uint32_t diam = 0;
+    for (std::uint32_t l : levels) diam = std::max(diam, l);
     return diam;
 }
 

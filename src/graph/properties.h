@@ -23,15 +23,20 @@
 
 namespace anole {
 
+class thread_pool;  // sim/thread_pool.h; borrowed, never owned
+
 // BFS distances from src; unreachable = max (cannot happen: connected).
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const graph& g, node_id src);
 
 [[nodiscard]] std::uint32_t eccentricity(const graph& g, node_id src);
 
-// Exact diameter by bit-parallel all-sources BFS: ⌈n/256⌉ batches of 256
-// sources, each (D+1) pull passes of O(n + 2m) 4-word ORs. Returns the
-// same value as the max of eccentricity() over every node.
-[[nodiscard]] std::uint32_t diameter_exact(const graph& g);
+// Exact diameter by bit-parallel all-sources BFS: ⌈n/256⌉ independent
+// batches of 256 sources, each (D+1) pull passes of O(n + 2m) 4-word ORs
+// over its own three lane arrays of 32n bytes. With a pool, graphs of
+// more than one batch run their batches through its helping
+// parallel_for; a one-batch graph runs inline. Returns the same value as
+// the max of eccentricity() over every node, for every pool (or none).
+[[nodiscard]] std::uint32_t diameter_exact(const graph& g, thread_pool* pool = nullptr);
 
 // [lower, upper] via double sweep + center eccentricity. O(m) per sweep.
 struct diameter_bounds {

@@ -363,7 +363,7 @@ graph_profile profile(const graph& g, const profile_options& opt) {
         p.diameter = static_cast<std::uint32_t>(*f.diameter);
         p.diameter_method = profile_method::fact;
     } else if (static_cast<std::uint64_t>(p.n) * p.m <= opt.exact_diameter_work) {
-        p.diameter = diameter_exact(g);
+        p.diameter = diameter_exact(g, opt.pool);
         p.diameter_method = profile_method::exact;
     } else {
         p.diameter = diameter_estimate(g).upper;

@@ -144,22 +144,29 @@ TEST(Lanczos, AgreesWithPowerIterationOnSparseFamilies256) {
     }
 }
 
+// hypercube 65536 has two 32768-element blocks, so the pools there shard
+// every matvec, dot and fused update and reduce two partials per dot.
 TEST(Lanczos, BitwiseIdenticalForEveryPoolSize) {
     thread_pool p2(2), p8(8);
-    for (graph_family f : {graph_family::dumbbell, graph_family::connected_caveman,
-                           graph_family::barabasi_albert, graph_family::torus}) {
-        const graph g = make_family(f, 256, 1);
+    const std::pair<graph_family, std::size_t> cases[] = {
+        {graph_family::dumbbell, 256},          {graph_family::connected_caveman, 256},
+        {graph_family::barabasi_albert, 256},   {graph_family::torus, 256},
+        {graph_family::hypercube, 65536},
+    };
+    for (const auto& [f, n] : cases) {
+        const graph g = make_family(f, n, 1);
         const lanczos_result serial = lanczos_lambda2(g);
         for (thread_pool* pool : {&p2, &p8}) {
             lanczos_options opt;
             opt.pool = pool;
             const lanczos_result r = lanczos_lambda2(g, opt);
-            EXPECT_EQ(r.lambda2, serial.lambda2) << to_string(f);  // bitwise
-            EXPECT_EQ(r.iterations, serial.iterations) << to_string(f);
-            ASSERT_EQ(r.fiedler.size(), serial.fiedler.size()) << to_string(f);
+            EXPECT_EQ(r.lambda2, serial.lambda2) << to_string(f) << " n=" << n;  // bitwise
+            EXPECT_EQ(r.iterations, serial.iterations) << to_string(f) << " n=" << n;
+            EXPECT_EQ(r.residual, serial.residual) << to_string(f) << " n=" << n;
+            ASSERT_EQ(r.fiedler.size(), serial.fiedler.size()) << to_string(f) << " n=" << n;
             for (std::size_t i = 0; i < r.fiedler.size(); ++i) {
                 ASSERT_EQ(r.fiedler[i], serial.fiedler[i])
-                    << to_string(f) << " component " << i;
+                    << to_string(f) << " n=" << n << " component " << i;
             }
         }
     }

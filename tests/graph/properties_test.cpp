@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "graph/generators.h"
+#include "sim/thread_pool.h"
 
 namespace anole {
 namespace {
@@ -69,6 +70,40 @@ TEST(Diameter, BitParallelMatchesEveryEccentricity) {
     const graph g =
         make_family(graph_family::random_geometric, 257, 3).with_permuted_ports(11);
     EXPECT_EQ(diameter_exact(g), max_eccentricity(g));
+}
+
+// Sharded batches each own their lane arrays and the pool only takes the
+// max of their level counts, so every pool size gives the serial answer:
+// one batch (256, inline), two (257), four (the 1024-node graphs), and a
+// 600-node tail whose only diametral pair, 512 and 599, lies in the last
+// batch: the path 512 .. 599, with nodes 0 .. 511 hung off its node 555.
+TEST(Properties, DiameterExactIdenticalForEveryPoolSize) {
+    const auto max_eccentricity = [](const graph& g) {
+        std::uint32_t d = 0;
+        for (node_id u = 0; u < g.num_nodes(); ++u) d = std::max(d, eccentricity(g, u));
+        return d;
+    };
+    std::vector<std::pair<node_id, node_id>> edges;
+    for (node_id u = 512; u < 599; ++u) edges.emplace_back(u, u + 1);
+    for (node_id u = 0; u < 512; ++u) edges.emplace_back(u, 555);
+    std::vector<graph> graphs;
+    graphs.emplace_back(edges.size() + 1, edges, "tail");
+    graphs.push_back(make_family(graph_family::torus, 256, 1));
+    graphs.push_back(make_family(graph_family::cycle, 257, 1));
+    for (graph_family f : {graph_family::connected_caveman, graph_family::random_geometric,
+                           graph_family::barabasi_albert}) {
+        graphs.push_back(make_family(f, 1024, 1));
+    }
+    thread_pool p1(1), p2(2), p8(8);
+    for (const graph& g : graphs) {
+        const std::uint32_t serial = diameter_exact(g);
+        EXPECT_EQ(serial, max_eccentricity(g)) << g.name();
+        for (thread_pool* pool : {&p1, &p2, &p8}) {
+            EXPECT_EQ(diameter_exact(g, pool), serial)
+                << g.name() << " n=" << g.num_nodes() << " pool=" << pool->size();
+        }
+    }
+    EXPECT_EQ(diameter_exact(graphs[0]), 87u);
 }
 
 TEST(Degrees, Stats) {
