@@ -79,18 +79,6 @@ std::vector<node_id> extremal_starts(const graph& g, std::uint64_t seed) {
     return starts;
 }
 
-// Runs fn(i) for every start index, sharded when a pool is given. The
-// per-index results land in a caller-indexed vector, so the max-reduction
-// below is independent of scheduling.
-template <class Fn>
-void for_each_start(std::size_t count, thread_pool* pool, Fn&& fn) {
-    if (pool == nullptr || count <= 1) {
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-    } else {
-        pool->parallel_for(count, fn);
-    }
-}
-
 }  // namespace
 
 std::uint64_t mixing_time_simulated(const graph& g, const mixing_time_options& opt) {
@@ -105,91 +93,20 @@ std::uint64_t mixing_time_simulated(const graph& g, const mixing_time_options& o
         starts = extremal_starts(g, opt.seed);
     }
 
+    // Starts shard over the pool; each lands in its own slot, so the
+    // max-reduction below is independent of scheduling.
     std::vector<std::uint64_t> per_start(starts.size(), 0);
-    for_each_start(starts.size(), opt.pool, [&](std::size_t i) {
+    const auto one_start = [&](std::size_t i) {
         per_start[i] = mix_from(g, starts[i], target, eps, opt.max_steps);
-    });
+    };
+    if (opt.pool == nullptr || starts.size() <= 1) {
+        for (std::size_t i = 0; i < starts.size(); ++i) one_start(i);
+    } else {
+        opt.pool->parallel_for(starts.size(), one_start);
+    }
     std::uint64_t worst = 0;
     for (std::uint64_t t : per_start) worst = std::max(worst, t);
     require(worst != kOverBudget, "mixing_time_simulated: exceeded max_steps");
-    return worst;
-}
-
-namespace {
-
-// Token-ensemble evaluation of the §2 stopping rule from one start:
-// evolve K tokens at once (binomial stayers, multinomial port split —
-// PR 3's O(degree) machinery) and measure ‖ĉ/K − π‖∞ instead of the
-// dense distribution. Returns the step count or kOverBudget.
-std::uint64_t sampled_mix_from(const graph& g, node_id src, std::uint64_t tokens,
-                               const std::vector<double>& target, double eps,
-                               std::uint64_t seed, std::uint64_t max_steps) {
-    const std::size_t n = g.num_nodes();
-    std::vector<std::uint64_t> counts(n, 0), next(n, 0);
-    counts[src] = tokens;
-    std::size_t max_deg = 0;
-    for (node_id u = 0; u < n; ++u) max_deg = std::max(max_deg, g.degree(u));
-    std::vector<std::uint64_t> ports(max_deg);
-    xoshiro256ss rng(derive_seed(seed, src, 0x5A3D));
-    const double inv_k = 1.0 / static_cast<double>(tokens);
-
-    for (std::uint64_t t = 0;; ++t) {
-        double gap = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            gap = std::max(gap,
-                           std::abs(static_cast<double>(counts[i]) * inv_k - target[i]));
-        }
-        if (gap <= eps) return t;
-        if (t >= max_steps) return kOverBudget;
-
-        std::fill(next.begin(), next.end(), 0);
-        for (node_id u = 0; u < n; ++u) {
-            const std::uint64_t resident = counts[u];
-            if (resident == 0) continue;
-            const std::uint64_t movers = binomial(rng, resident, 0.5);
-            next[u] += resident - movers;
-            if (movers == 0) continue;
-            const auto nbrs = g.neighbors(u);
-            const std::uint64_t d = nbrs.size();
-            if (movers < d) {
-                for (std::uint64_t i = 0; i < movers; ++i) {
-                    ++next[nbrs[static_cast<std::size_t>(rng.below(d))]];
-                }
-            } else {
-                auto span = std::span<std::uint64_t>(ports.data(), d);
-                multinomial_uniform(rng, movers, span);
-                for (std::uint64_t p = 0; p < d; ++p) next[nbrs[p]] += span[p];
-            }
-        }
-        counts.swap(next);
-    }
-}
-
-std::uint64_t auto_tokens(const graph& g) {
-    // Per-node noise of ĉ_v/K at stationarity is ≈ √(π_v/K) ≤ √(π_max/K);
-    // keeping 4σ under half the 1/(2n) threshold needs K ≥ 256·π_max·n².
-    const double n = static_cast<double>(g.num_nodes());
-    const double pi_max = degrees(g).max / (2.0 * static_cast<double>(g.num_edges()));
-    const double k = 256.0 * pi_max * n * n;
-    return std::max<std::uint64_t>(4096, static_cast<std::uint64_t>(std::ceil(k)));
-}
-
-}  // namespace
-
-std::uint64_t mixing_time_sampled(const graph& g, const sampled_mixing_options& opt) {
-    const auto target = walk_stationary(g);
-    const double eps = 1.0 / (2.0 * static_cast<double>(g.num_nodes()));
-    const std::uint64_t tokens = opt.tokens != 0 ? opt.tokens : auto_tokens(g);
-    const auto starts = extremal_starts(g, opt.seed);
-
-    std::vector<std::uint64_t> per_start(starts.size(), 0);
-    for_each_start(starts.size(), opt.pool, [&](std::size_t i) {
-        per_start[i] = sampled_mix_from(g, starts[i], tokens, target, eps, opt.seed,
-                                        opt.max_steps);
-    });
-    std::uint64_t worst = 0;
-    for (std::uint64_t t : per_start) worst = std::max(worst, t);
-    require(worst != kOverBudget, "mixing_time_sampled: exceeded max_steps");
     return worst;
 }
 
@@ -296,10 +213,6 @@ std::uint64_t mixing_time_spectral_bound(const graph& g, double lambda2) {
     return static_cast<std::uint64_t>(std::ceil(needed / std::max(gap, 1e-12)));
 }
 
-std::uint64_t mixing_time_spectral_bound(const graph& g) {
-    return mixing_time_spectral_bound(g, lambda2_lazy(g));
-}
-
 std::vector<double> fiedler_vector(const graph& g, std::size_t iters, std::uint64_t seed,
                                    thread_pool* pool) {
     lanczos_options opt;
@@ -315,7 +228,6 @@ const char* to_string(profile_method m) noexcept {
         case profile_method::exact: return "exact";
         case profile_method::sweep: return "sweep";
         case profile_method::simulated: return "simulated";
-        case profile_method::sampled: return "sampled";
         case profile_method::spectral: return "spectral";
     }
     return "unknown";
@@ -326,7 +238,6 @@ profile_method profile_method_from_string(const std::string& s) {
     if (s == "exact") return profile_method::exact;
     if (s == "sweep") return profile_method::sweep;
     if (s == "simulated") return profile_method::simulated;
-    if (s == "sampled") return profile_method::sampled;
     if (s == "spectral") return profile_method::spectral;
     throw error("profile_method_from_string: unknown method '" + s + "'");
 }
@@ -416,47 +327,28 @@ graph_profile profile(const graph& g, const profile_options& opt) {
         return p;
     }
 
-    // Cost model: predict the work each estimator needs from the spectral
-    // bound t̂ (already paid for by the Lanczos run) and run the cheapest
-    // one that fits the budget; past the budget the bound itself is the
-    // answer. Work units: dense = floats touched (2m per step per start),
-    // sampled = RNG-weighted draws (n scan + min(K, 2m) port work).
+    // Cost model: predict the dense simulation's work from the spectral
+    // bound t̂ (already paid for by the Lanczos run) in floats touched (2m
+    // per step per start) and run it when that fits the budget; past the
+    // budget the bound itself is the answer.
     const std::uint64_t that = mixing_time_spectral_bound(g, p.lambda2);
     const double starts = 5.0 + 4.0;  // extremal heuristic start count
     const double m2 = 2.0 * static_cast<double>(p.m);
     const double dense_cost = static_cast<double>(that) * m2 * starts;
-    const std::uint64_t tokens = auto_tokens(g);
-    constexpr double kRngOpWeight = 4.0;  // one RNG draw ≈ a few float ops
-    const double sampled_cost =
-        static_cast<double>(that) * starts * kRngOpWeight *
-        (static_cast<double>(p.n) + std::min(m2, static_cast<double>(tokens)));
-    const double budget = static_cast<double>(opt.tmix_work_budget);
-    // Past 8·t̂ something is off (the bound should dominate the measured
-    // value); give up on measurement and report the bound.
-    const std::uint64_t step_cap = 8 * that + 64;
-
-    try {
-        if (dense_cost <= budget && dense_cost <= sampled_cost) {
-            mixing_time_options mo;
-            mo.seed = opt.seed;
-            mo.max_steps = step_cap;
-            mo.pool = opt.pool;
+    if (dense_cost <= static_cast<double>(opt.tmix_work_budget)) {
+        mixing_time_options mo;
+        mo.seed = opt.seed;
+        // Past 8·t̂ something is off (the bound should dominate the
+        // measured value); give up on measurement and report the bound.
+        mo.max_steps = 8 * that + 64;
+        mo.pool = opt.pool;
+        try {
             p.mixing_time = mixing_time_simulated(g, mo);
             p.mixing_method = profile_method::simulated;
             return p;
+        } catch (const error&) {
+            // Step cap blown: fall through to the spectral bound.
         }
-        if (sampled_cost <= budget) {
-            sampled_mixing_options so;
-            so.seed = opt.seed;
-            so.tokens = tokens;
-            so.max_steps = step_cap;
-            so.pool = opt.pool;
-            p.mixing_time = mixing_time_sampled(g, so);
-            p.mixing_method = profile_method::sampled;
-            return p;
-        }
-    } catch (const error&) {
-        // Step cap blown: fall through to the spectral bound.
     }
     p.mixing_time = that;
     p.mixing_method = profile_method::spectral;

@@ -13,18 +13,17 @@
 //     or from a heuristic subset of extremal starts (certified as a lower
 //     bound estimate, in practice tight); independent starts shard over
 //     an optional thread_pool with a jobs-invariant max-reduction;
-//   * mixing_time_sampled — §2 distance estimated from a token *ensemble*
-//     (the PR 3 binomial/multinomial machinery) instead of a dense
-//     π-vector: O(n + min(tokens, 2m)) RNG work per step, which beats the
-//     dense O(m) float pass exactly on the large dense-ish families where
-//     the dense path is the wall;
+//   * mixing_time_spectral_bound — the λ₂ upper bound on tmix, reported
+//     when simulating would cost more than profile()'s work budget;
 //   * lambda2_lazy / fiedler_vector — second eigenpair of the symmetrized
 //     lazy walk via sparse Lanczos (graph/lanczos.h); the pre-Lanczos
 //     power-iteration-with-deflation λ₂ remains as lambda2_power (with
 //     residual-based early exit), a cross-check for the Lanczos path;
 //   * profile() — the one-stop measurement bundle with per-field
-//     provenance, a cost model that picks the cheapest adequate tmix
-//     method, and thread-pool sharding throughout.
+//     provenance, three tmix methods (exhaustive dense evaluation up to
+//     n = 128, extremal-start dense simulation while it fits the work
+//     budget, the spectral bound past it), and thread-pool sharding
+//     throughout.
 //
 // docs/PROFILES.md describes the pipeline, the estimator error semantics
 // and the on-disk cache layered above this module by sim/profile_cache.h.
@@ -69,28 +68,6 @@ struct mixing_time_options {
 [[nodiscard]] std::uint64_t mixing_time_simulated(const graph& g,
                                                   const mixing_time_options& opt = {});
 
-struct sampled_mixing_options {
-    // Ensemble size per start. 0 = auto: sized so the per-node sampling
-    // noise (≈ √(π_max/K)) sits well below the 1/(2n) decision threshold,
-    // i.e. K ≈ 256 · π_max · n². On near-regular families π_max ≈ 1/n so
-    // K = O(n); the estimator's per-step cost O(n + min(K, 2m)) then beats
-    // the dense path's O(m) floats whenever m ≫ n.
-    std::uint64_t tokens = 0;
-    std::uint64_t seed = 1;
-    // Hard cap on steps per start (throws anole::error beyond it).
-    std::uint64_t max_steps = 50'000'000;
-    thread_pool* pool = nullptr;  // shards independent starts
-};
-
-// tmix estimated from token counts of a simulated ensemble (extremal
-// starts, same start heuristic as mixing_time_simulated). Sampling noise
-// makes this an *estimate*, biased slightly upward near the threshold
-// (noise inflates the measured gap); tests cross-validate it against the
-// exact dense evaluation on small n. Deterministic in (g, opt) and
-// independent of opt.pool.
-[[nodiscard]] std::uint64_t mixing_time_sampled(const graph& g,
-                                                const sampled_mixing_options& opt = {});
-
 // Second-largest eigenvalue (all eigenvalues of the lazy matrix are >= 0,
 // so this is λ₂) of the symmetrized lazy walk
 // N = I/2 + D^{-1/2} A D^{-1/2} / 2, via sparse Lanczos (graph/lanczos.h).
@@ -106,9 +83,8 @@ struct sampled_mixing_options {
 [[nodiscard]] double lambda2_power(const graph& g, std::size_t iters = 0,
                                    double tol = 1e-9);
 
-// Spectral upper bound on tmix from λ₂: ceil( log(n²·√(dmax/dmin)·2) / (1−λ₂) ).
-[[nodiscard]] std::uint64_t mixing_time_spectral_bound(const graph& g);
-// Same bound from an already-computed λ₂ (profile() reuses its Lanczos run).
+// Spectral upper bound on tmix from λ₂ (e.g. lambda2_lazy(g); profile()
+// reuses its Lanczos run): ceil( log(n²·√(dmax/dmin)·2) / −log λ₂ ).
 [[nodiscard]] std::uint64_t mixing_time_spectral_bound(const graph& g, double lambda2);
 
 // Fiedler-style embedding: eigenvector of the *second* eigenvalue of the
@@ -124,14 +100,13 @@ struct sampled_mixing_options {
 // How a profile field was obtained. The numeric contract per method:
 // fact/exact are true values; sweep is a certified upper bound (cuts) or
 // BFS upper bound (diameter); simulated is the §2 evaluation from
-// extremal starts (lower-bound estimate, tight in practice); sampled is
-// the token-ensemble estimate; spectral is the λ₂ upper bound on tmix.
+// extremal starts (lower-bound estimate, tight in practice); spectral is
+// the λ₂ upper bound on tmix.
 enum class profile_method : std::uint8_t {
     fact,       // generator-provided graph_facts
     exact,      // exhaustive computation of the definition
     sweep,      // sweep-cut / double-sweep upper bound
     simulated,  // dense §2 simulation from extremal starts
-    sampled,    // token-ensemble §2 estimate
     spectral,   // λ₂-derived upper bound
 };
 
@@ -165,9 +140,9 @@ struct profile_options {
     // Shards eigensolver matvecs and independent tmix starts. Results are
     // identical for every pool configuration (including none).
     thread_pool* pool = nullptr;
-    // Approximate work budget (inner-loop operations) for *measuring*
-    // tmix; when both the dense and the sampled estimator would exceed
-    // it, profile() reports the spectral bound instead.
+    // Approximate work budget (floats touched) for *measuring* tmix past
+    // exhaustive_tmix_n; when the extremal-start dense simulation would
+    // exceed it, profile() reports the spectral bound instead.
     static constexpr std::uint64_t tmix_work_budget = 400'000'000;
     // Below this n, tmix is evaluated exhaustively from every start.
     static constexpr std::size_t exhaustive_tmix_n = 128;

@@ -187,6 +187,9 @@ TEST(Lanczos, ProfileBitsPinned) {
     // bytes, pinned before tridiag_largest stopped its bisection early.
     // They guard every later change to the profile path: a change that
     // moves one bit of a profile field or of the Fiedler vector fails here.
+    // n = 256 is where the tmix cost model first sends six families
+    // (path, ring_of_cliques, barbell, lollipop, dumbbell, caveman) from
+    // the dense simulation to the spectral bound.
     const auto fnv = [](const void* data, std::size_t len) {
         std::uint64_t h = 1469598103934665603ULL;
         const auto* bytes = static_cast<const unsigned char*>(data);
@@ -221,6 +224,25 @@ TEST(Lanczos, ProfileBitsPinned) {
         {graph_family::barabasi_albert, 64, 0x0c046d432be7f5edULL, 0xfa891ea89658ee51ULL},
         {graph_family::random_geometric, 64, 0xe1de547c8e679059ULL, 0xb2a155d5ed4ecfe2ULL},
         {graph_family::connected_caveman, 64, 0x4a58422d4cc5bd01ULL, 0xbae56ddff4465dceULL},
+        {graph_family::path, 256, 0x25c6135081405465ULL, 0xa5c55da93516762cULL},
+        {graph_family::cycle, 256, 0xc412d35b4e687aacULL, 0x56d19c92562ee9c1ULL},
+        {graph_family::complete, 256, 0x2872bbd7b1c74d16ULL, 0xbd7f62211e5e415aULL},
+        {graph_family::star, 256, 0xef06f9ed68cbbd65ULL, 0x19ca95351214b94bULL},
+        {graph_family::grid2d, 256, 0x4f6f933042a48c68ULL, 0xed5ac8de3e60c6fbULL},
+        {graph_family::torus, 256, 0x420f86d5fb67d754ULL, 0x4944a95c974a3840ULL},
+        {graph_family::hypercube, 256, 0x08d4eb7b4cfd065eULL, 0x18e5ba72687942a9ULL},
+        {graph_family::binary_tree, 256, 0x4438f7bac28aaab5ULL, 0xb108d0439c84b163ULL},
+        {graph_family::random_regular, 256, 0xf29be19c695ed156ULL, 0x42e4a985ee46e950ULL},
+        {graph_family::erdos_renyi, 256, 0xa6ff4e862cc42c6dULL, 0xb6148b78fc0e7361ULL},
+        {graph_family::ring_of_cliques, 256, 0x0db88a69952b5406ULL, 0xd146fbea7308a96fULL},
+        {graph_family::barbell, 256, 0x07cde0b18ab2bd19ULL, 0xd71acd8ea84f10dbULL},
+        {graph_family::lollipop, 256, 0xff9839a22bb01ef2ULL, 0x6456f48c0ed820e9ULL},
+        {graph_family::dumbbell, 256, 0x19787842e62a80e2ULL, 0x22a7f16eb609afc1ULL},
+        {graph_family::wheel, 256, 0x9b545fa0e95283d9ULL, 0x0c759fe4699955feULL},
+        {graph_family::watts_strogatz, 256, 0x796454d94d0acaf8ULL, 0xbd27e55e84f387b8ULL},
+        {graph_family::barabasi_albert, 256, 0x1ca9a571d798560aULL, 0x1cf7d30e6589e764ULL},
+        {graph_family::random_geometric, 256, 0xac0121a544ee86e0ULL, 0xc81e6c09133f0868ULL},
+        {graph_family::connected_caveman, 256, 0x029e3ca8e03a2ef8ULL, 0x2cbd75f4b079322cULL},
         {graph_family::path, 1024, 0x18e8025862f53781ULL, 0x710de6dd7eab8e82ULL},
         {graph_family::cycle, 1024, 0x046dcc25eb0f923aULL, 0x1d396dd5a98b20abULL},
         {graph_family::complete, 1024, 0x32b86421c248f96eULL, 0x7c795e2dbfc90df3ULL},

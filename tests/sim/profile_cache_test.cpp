@@ -90,20 +90,27 @@ TEST(ProfileCache, CorruptAndStaleLinesAreSkipped) {
         cache.store("good", good);
     }
     {
-        // Hand-append garbage, a version from the future, and a
-        // structurally valid object missing required fields.
+        // Hand-append garbage, a version from the future, a
+        // structurally valid object missing required fields, and a tmix
+        // method that profile() no longer has.
         std::ofstream out(path, std::ios::app);
         out << "not json at all {{{\n";
         out << "{\"key\":\"stale\",\"version\":999,\"profile\":" << good.to_json()
             << "}\n";
         out << "{\"key\":\"incomplete\",\"version\":" << profile_cache_version
             << ",\"profile\":{\"n\":4}}\n";
+        std::string retired = good.to_json();
+        const std::string fact = "\"mixing_method\":\"fact\"";
+        retired.replace(retired.find(fact), fact.size(), "\"mixing_method\":\"sampled\"");
+        out << "{\"key\":\"retired\",\"version\":" << profile_cache_version
+            << ",\"profile\":" << retired << "}\n";
     }
     profile_cache reloaded(path);
     EXPECT_EQ(reloaded.size(), 1u);
     EXPECT_TRUE(reloaded.lookup("good").has_value());
     EXPECT_FALSE(reloaded.lookup("stale").has_value());
     EXPECT_FALSE(reloaded.lookup("incomplete").has_value());
+    EXPECT_FALSE(reloaded.lookup("retired").has_value());
     std::remove(path.c_str());
 }
 
