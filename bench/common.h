@@ -78,13 +78,18 @@ inline std::vector<std::string> split_csv(const std::string& s) {
     return out;
 }
 
-// The dynamics presets named by a comma list ("all" = every preset), or
-// exit 2 on an unknown name or a list that names none.
+// The dynamics presets named by a comma list, or exit 2 on an unknown
+// name or a list that names none. "all" anywhere in the list yields every
+// preset once, after every other name has been checked.
 inline std::vector<std::pair<std::string, dynamics_spec>> parse_presets(
     const std::string& list, const char* flag) {
     std::vector<std::pair<std::string, dynamics_spec>> out;
+    bool all = false;
     for (const std::string& name : split_csv(list)) {
-        if (name == "all") return all_dynamics_presets();
+        if (name == "all") {
+            all = true;
+            continue;
+        }
         const auto d = dynamics_preset(name);
         if (!d) {
             std::fprintf(stderr, "error: %s: unknown dynamics preset '%s'\n", flag,
@@ -93,6 +98,7 @@ inline std::vector<std::pair<std::string, dynamics_spec>> parse_presets(
         }
         out.emplace_back(name, *d);
     }
+    if (all) return all_dynamics_presets();
     if (out.empty()) {
         std::fprintf(stderr, "error: %s expects a comma list of presets, got '%s'\n",
                      flag, list.c_str());

@@ -35,21 +35,14 @@ struct gate_options : options {
     std::string json_out;
     std::string check;
 
-    // --quick | --csv | --json | [--jobs N] | --json-out FILE | --check FILE.
-    // Bad or conflicting flags exit 2.
+    // --quick | --csv | --json | [--jobs N] | --json-out FILE | --check FILE,
+    // read by options::parse. The shared flags a gate does not use
+    // (--full, --seeds, --node-jobs, and --jobs unless takes_jobs) are
+    // unknown here. Bad or conflicting flags exit 2.
     static gate_options parse(int argc, char** argv, bool takes_jobs) {
         gate_options o;
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a == "--quick") {
-                o.quick = true;
-            } else if (a == "--csv") {
-                o.csv = true;
-            } else if (a == "--json") {
-                o.json = true;
-            } else if (takes_jobs && a == "--jobs") {
-                o.jobs = parse_count(argc, argv, i, "--jobs");
-            } else if (a == "--json-out") {
+        const auto gate_flag = [&](const std::string& a, int& i) {
+            if (a == "--json-out") {
                 o.json_out = flag_value(argc, argv, i, "--json-out");
             } else if (a == "--check") {
                 o.check = flag_value(argc, argv, i, "--check");
@@ -58,12 +51,17 @@ struct gate_options : options {
                             " --check FILE\n",
                             takes_jobs ? " --jobs N |" : "");
                 std::exit(0);
-            } else {
+            } else if (a == "--full" || a == "--seeds" || a == "--node-jobs" ||
+                       (!takes_jobs && a == "--jobs")) {
                 std::fprintf(stderr, "error: unknown flag '%s' (try --help)\n",
                              a.c_str());
                 std::exit(2);
+            } else {
+                return false;
             }
-        }
+            return true;
+        };
+        static_cast<options&>(o) = options::parse(argc, argv, gate_flag);
         if (o.quick && !o.check.empty()) {
             std::fprintf(stderr, "error: --check gates full-size rows; drop --quick\n");
             std::exit(2);

@@ -6,13 +6,13 @@
 //   ./topology_gallery ba 48 7 > ba.svg     # n = 48, seed 7
 //
 // docs/TOPOLOGIES.md pairs each catalog entry with its thumbnail
-// command; this is the binary those commands run. Rendering goes through
-// graph/layout.h (deterministic in the seed, O(V log V + E) per
-// iteration), which is what the campaign HTML report's gallery uses.
+// command; this is the binary those commands run. It prints the 320×240
+// thumbnail that the campaign HTML report's gallery shows for the same
+// (family, n, seed), laid out by graph/layout.h (deterministic in the
+// seed, O(V log V + E) per iteration).
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <vector>
 
 #include "graph/generators.h"
 #include "graph/layout.h"
@@ -64,16 +64,9 @@ int main(int argc, char** argv) {
     try {
         const graph g = make_family(*family, n, seed);
 
-        layout_options lopt;
-        lopt.seed = seed;
-        const std::vector<layout_point> pts = force_layout(g, lopt);
-        layout_svg_options sopt;
-        sopt.width = 640;
-        sopt.height = 480;
-        sopt.node_radius = n <= 256 ? 3.0 : 1.6;
         std::fprintf(stderr, "%s: %zu nodes, %zu edges\n", g.name().c_str(),
                      g.num_nodes(), g.num_edges());
-        std::cout << layout_svg(g, pts, sopt) << "\n";
+        std::cout << layout_svg(g, force_layout(g, {.seed = seed})) << "\n";
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;

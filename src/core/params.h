@@ -3,7 +3,9 @@
 // The paper states parameters asymptotically ("c > 0 a sufficiently large
 // constant", "x = Θ̃(√(n log n/(Φ tmix)))"). Experiments need concrete
 // values, so every formula lives here with its provenance, and every knob
-// the ablation benches sweep is an explicit field. Two families:
+// the ablation benches sweep is an explicit field. The constants no
+// experiment varies are static members: Algorithm 1's c = 1 and
+// Theorem 3's ε = 1 and ξ = 0.1. Two families:
 //
 //   irrevocable_params — Algorithm 1 (known n). Inputs: n plus linear
 //     upper bounds on tmix and a lower bound on Φ (§4: "it is enough to
@@ -37,7 +39,7 @@ struct irrevocable_params {
     double phi = 0;           // conductance (lower bound), in (0, 1]
 
     // --- analysis constants (paper's single "sufficiently large" c) ---
-    double c = 1.0;           // multiplies tmix·log n round counts
+    static constexpr double c = 1.0;  // multiplies tmix·log n round counts
     double cand_c = 1.0;      // candidate probability = cand_c·log2(n)/n
 
     // --- ablation knobs ---
@@ -114,7 +116,7 @@ struct irrevocable_params {
         require(n >= 2, "irrevocable_params: n >= 2");
         require(tmix >= 1, "irrevocable_params: tmix >= 1");
         require(phi > 0 && phi <= 1.0, "irrevocable_params: phi in (0,1]");
-        require(c > 0 && cand_c > 0, "irrevocable_params: constants > 0");
+        require(cand_c > 0, "irrevocable_params: cand_c > 0");
     }
 };
 
@@ -124,9 +126,9 @@ struct irrevocable_params {
 
 struct revocable_params {
     // 0 < ε <= 1 (Theorem 3). ε = 1 keeps k^{1+ε} integral for k = 2^i.
-    double epsilon = 1.0;
+    static constexpr double epsilon = 1.0;
     // 0 < ξ < 1 — per-lemma failure budget in f(k).
-    double xi = 0.1;
+    static constexpr double xi = 0.1;
 
     // Known isoperimetric number i(G) (Theorem 3). Unset => blind mode
     // (Corollary 1): substitute the universal bound i(G) >= 2/n with the
@@ -256,8 +258,6 @@ struct revocable_params {
     }
 
     void validate() const {
-        require(epsilon > 0 && epsilon <= 1.0, "revocable_params: 0 < ε <= 1");
-        require(xi > 0 && xi < 1.0, "revocable_params: 0 < ξ < 1");
         require(!isoperimetric || *isoperimetric > 0,
                 "revocable_params: i(G) must be positive when given");
         require(r_scale > 0 && f_scale > 0, "revocable_params: scales > 0");

@@ -62,8 +62,9 @@ struct lanczos_options {
     // stay in memory. Convergence is usually reached far earlier.
     std::size_t max_iters = 0;
     // Ritz-residual target ‖N v − θ v‖₂; the spectrum lives in [0, 1] so
-    // this is an absolute eigenvalue error bound.
-    double tol = 1e-9;
+    // this is an absolute eigenvalue error bound. Every profile bit
+    // depends on it.
+    static constexpr double tol = 1e-9;
     std::uint64_t seed = 7;
     // Shards matvecs/reductions; nullptr = serial. Results are bitwise
     // identical either way.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "graph/properties.h"
@@ -400,17 +399,11 @@ std::vector<layout_point> force_layout(const graph& g, const layout_options& opt
         xoshiro256ss rng(derive_seed(opt.seed, u, kLayoutTag));
         pts[u] = {rng.uniform01(), rng.uniform01()};
     }
-    const bool single = levels.size() == 1;
-    relax(top, pts,
-          single && opt.iterations != 0 ? opt.iterations : auto_iterations(top.size()), 0.1,
-          opt);
+    relax(top, pts, auto_iterations(top.size()), 0.1, opt);
     for (std::size_t l = levels.size() - 1; l-- > 0;) {
         const double k = std::sqrt(1.0 / static_cast<double>(levels[l].size()));
         pts = interpolate(pts, parents[l], k, opt.seed, l);
-        relax(levels[l], pts,
-              l == 0 && opt.iterations != 0 ? opt.iterations
-                                            : refine_iterations(levels[l].size()),
-              kRefineTemperature, opt);
+        relax(levels[l], pts, refine_iterations(levels[l].size()), kRefineTemperature, opt);
     }
 
     // Normalize into [0, 1]² for renderers.
@@ -470,10 +463,19 @@ double layout_stress(const graph& g, std::span<const layout_point> pts,
 
 namespace {
 
+// The thumbnail frame and caps that layout.h documents. Drawing 10⁵
+// nodes / 10⁶ edges as DOM elements would defeat the point of a fast
+// layout, so past the caps a stride sample is drawn.
+constexpr double kSvgWidth = 320;
+constexpr double kSvgHeight = 240;
+constexpr double kSvgMargin = 10;
+constexpr std::size_t kSvgMaxEdges = 4000;
+constexpr std::size_t kSvgMaxNodes = 20000;
+
 // Every stride-th of `count` items, stride = ⌈count/cap⌉, is at most `cap`
-// items; cap 0 draws everything.
+// items.
 std::size_t sample_stride(std::size_t count, std::size_t cap) {
-    return cap == 0 ? 1 : std::max<std::size_t>(1, (count + cap - 1) / cap);
+    return std::max<std::size_t>(1, (count + cap - 1) / cap);
 }
 
 // Appends `name="v"` with v printed as snprintf's "%.1f" prints it;
@@ -491,24 +493,18 @@ void append_attr(std::string& out, const char* name, double v) {
 
 }  // namespace
 
-std::string layout_svg(const graph& g, std::span<const layout_point> pts,
-                       const layout_svg_options& opt) {
+std::string layout_svg(const graph& g, std::span<const layout_point> pts) {
     require(pts.size() == g.num_nodes(), "layout_svg: pts/graph size mismatch");
-    const double w = opt.width, h = opt.height, m = opt.margin;
-    const auto sx = [&](double x) { return m + x * (w - 2 * m); };
-    const auto sy = [&](double y) { return m + y * (h - 2 * m); };
+    const auto sx = [](double x) { return kSvgMargin + x * (kSvgWidth - 2 * kSvgMargin); };
+    const auto sy = [](double y) { return kSvgMargin + y * (kSvgHeight - 2 * kSvgMargin); };
 
     std::string out;
     out.reserve(1 << 16);
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 %.0f %.0f\" "
-                  "width=\"%.0f\" height=\"%.0f\" role=\"img\">",
-                  w, h, w, h);
-    out += buf;
+    out += "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 320 240\" "
+           "width=\"320\" height=\"240\" role=\"img\">";
 
     const auto edges = g.edge_list();
-    const std::size_t estride = sample_stride(edges.size(), opt.max_edges);
+    const std::size_t estride = sample_stride(edges.size(), kSvgMaxEdges);
     // Presentation attributes; the report's stylesheet overrides them via
     // the "ge"/"gn" classes so thumbnails follow light/dark mode.
     out += "<g class=\"ge\" stroke=\"#c3c2b7\" stroke-width=\"0.7\" "
@@ -524,14 +520,13 @@ std::string layout_svg(const graph& g, std::span<const layout_point> pts,
     }
     out += "</g>";
 
-    const std::size_t nstride = sample_stride(pts.size(), opt.max_nodes);
+    const std::size_t nstride = sample_stride(pts.size(), kSvgMaxNodes);
     out += "<g class=\"gn\" fill=\"#2a78d6\">";
     for (std::size_t u = 0; u < pts.size(); u += nstride) {
         out += "<circle";
         append_attr(out, " cx", sx(pts[u].x));
         append_attr(out, " cy", sy(pts[u].y));
-        append_attr(out, " r", opt.node_radius);
-        out += "/>";
+        out += " r=\"1.6\"/>";
     }
     out += "</g></svg>";
     return out;

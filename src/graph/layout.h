@@ -99,10 +99,6 @@ private:
 // --- force-directed layout --------------------------------------------------
 
 struct layout_options {
-    // Passes on the input graph itself. 0 = auto: 100/50/30 (n <= 2048 /
-    // 32768 / above) when the graph never coarsens, else a short refining
-    // budget (15/8/5). Coarser levels always take their auto budgets.
-    std::size_t iterations = 0;
     std::uint64_t seed = 1;
     // Shards the per-node force pass; nullptr = serial. Bitwise-identical
     // results for every pool size.
@@ -111,9 +107,10 @@ struct layout_options {
 
 // Deterministic multilevel Fruchterman–Reingold embedding of g into
 // [0, 1]²: BH repulsion + CSR-edge attraction + linear cooling on every
-// level. The levels shrink geometrically, so the time is a constant
-// number of O(V log V + E) passes; memory is O(V + E) for the hierarchy
-// beyond the tree pool.
+// level, 100/50/30 passes on the coarsest level (n <= 2048 / 32768 /
+// above) and 15/8/5 on each finer one. The levels shrink geometrically,
+// so the time is a constant number of O(V log V + E) passes; memory is
+// O(V + E) for the hierarchy beyond the tree pool.
 [[nodiscard]] std::vector<layout_point> force_layout(const graph& g,
                                                      const layout_options& opt = {});
 
@@ -129,20 +126,12 @@ struct layout_options {
 
 // --- SVG rendering ----------------------------------------------------------
 
-struct layout_svg_options {
-    double width = 320;
-    double height = 240;
-    double margin = 10;
-    // Drawing 10⁵ nodes / 10⁶ edges as DOM elements would defeat the
-    // point of a fast layout; past the caps a deterministic stride sample
-    // is drawn instead (every ⌈m/max_edges⌉-th edge, in edge-list order).
-    std::size_t max_edges = 4000;
-    std::size_t max_nodes = 20000;
-    double node_radius = 1.6;
-};
-
-// One self-contained <svg> element (no external references).
-[[nodiscard]] std::string layout_svg(const graph& g, std::span<const layout_point> pts,
-                                     const layout_svg_options& opt = {});
+// One self-contained <svg> element (no external references): a 320×240
+// frame with a 10-unit margin, every coordinate printed as "%.1f" prints
+// it, and nodes of radius 1.6. Past 4000 edges or 20000 nodes a
+// deterministic stride sample is drawn instead (every ⌈m/4000⌉-th edge in
+// edge-list order, every ⌈n/20000⌉-th node). The campaign report's
+// gallery and examples/topology_gallery draw exactly this.
+[[nodiscard]] std::string layout_svg(const graph& g, std::span<const layout_point> pts);
 
 }  // namespace anole

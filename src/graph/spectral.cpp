@@ -258,12 +258,6 @@ std::string graph_profile::to_json() const {
     return std::string(buf);
 }
 
-graph_profile profile(const graph& g, std::uint64_t seed) {
-    profile_options opt;
-    opt.seed = seed;
-    return profile(g, opt);
-}
-
 graph_profile profile(const graph& g, const profile_options& opt) {
     graph_profile p;
     p.n = g.num_nodes();

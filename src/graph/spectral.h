@@ -136,7 +136,9 @@ struct graph_profile {
 };
 
 struct profile_options {
-    std::uint64_t seed = 1;
+    // Seeds Lanczos' start vector and the random extremal tmix starts.
+    // Every profile, cached or fresh, is taken at this one seed.
+    static constexpr std::uint64_t seed = 1;
     // Shards eigensolver matvecs and independent tmix starts. Results are
     // identical for every pool configuration (including none).
     thread_pool* pool = nullptr;
@@ -154,9 +156,6 @@ struct profile_options {
 
 // Computes the profile, honoring generator-provided graph_facts when
 // available (they win over estimates; estimates fill gaps).
-[[nodiscard]] graph_profile profile(const graph& g, std::uint64_t seed = 1);
-// Full-control overload (note: no default argument — profile(g) binds to
-// the seed overload above).
-[[nodiscard]] graph_profile profile(const graph& g, const profile_options& opt);
+[[nodiscard]] graph_profile profile(const graph& g, const profile_options& opt = {});
 
 }  // namespace anole

@@ -19,11 +19,10 @@ namespace anole {
 
 namespace {
 
-// Topology gallery caps: families whose largest instance exceeds the
-// node cap are skipped (with a note) rather than stalling the report,
-// and each thumbnail draws at most this many edges.
+// Topology gallery cap: families whose largest instance exceeds it are
+// skipped (with a note) rather than stalling the report. layout_svg caps
+// the edges each thumbnail draws.
 constexpr std::size_t max_thumb_nodes = 150000;
-constexpr std::size_t thumb_edge_cap = 4000;
 
 // --- small helpers ----------------------------------------------------------
 
@@ -378,8 +377,6 @@ std::string gallery_html(const std::vector<campaign_record>& records,
     if (picks.empty()) return "";
 
     thread_pool pool(opt.jobs);
-    layout_svg_options svg_opt;
-    svg_opt.max_edges = thumb_edge_cap;
 
     // One job per pick, each writing only its own slot; the force pass
     // inside shards over the same (helping) pool. Slots are joined in
@@ -399,11 +396,7 @@ std::string gallery_html(const std::vector<campaign_record>& records,
                      " exceeds the thumbnail cap</div>";
             } else {
                 const graph g = make_family(p.family, p.n, p.topology_seed);
-                layout_options lo;
-                lo.seed = p.topology_seed;
-                lo.pool = &pool;
-                const std::vector<layout_point> pts = force_layout(g, lo);
-                f += layout_svg(g, pts, svg_opt);
+                f += layout_svg(g, force_layout(g, {.seed = p.topology_seed, .pool = &pool}));
             }
             f += "<figcaption>" + html_escape(to_string(p.family)) + " · n=" +
                  std::to_string(p.n) + "</figcaption></figure>";
@@ -505,11 +498,11 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
     html.reserve(1 << 18);
     html += "<!DOCTYPE html><html lang=\"en\"><head><meta charset=\"utf-8\">";
     html += "<meta name=\"viewport\" content=\"width=device-width,initial-scale=1\">";
-    html += "<title>" + html_escape(opt.title) + "</title>";
+    html += "<title>anole campaign report</title>";
     html += "<style>";
     html += kCss;
     html += "</style></head><body>";
-    html += "<h1>" + html_escape(opt.title) + "</h1>";
+    html += "<h1>anole campaign report</h1>";
     html += "<p class=\"sub\">" + std::to_string(records.size()) +
             " records · ledger schema v" + std::to_string(campaign_schema_version) +
             " · self-contained (no external resources)</p>";
@@ -544,15 +537,14 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
     html += "<h2>safety</h2>";
     html += safety_html(records);
 
-    if (opt.thumbnails) {
-        const std::string gallery = gallery_html(records, opt);
-        if (!gallery.empty()) {
-            html += "<h2>topology gallery</h2>";
-            html += "<p class=\"sub\">force-directed thumbnails (multilevel "
-                    "Barnes–Hut force layout, deterministic from the campaign "
-                    "topology seed); dense instances are stride-sampled.</p>";
-            html += gallery;
-        }
+    // Scoped to the if: the gallery's megabyte is freed before the last
+    // append can grow `html`, which keeps the report's peak memory down.
+    if (const std::string gallery = gallery_html(records, opt); !gallery.empty()) {
+        html += "<h2>topology gallery</h2>";
+        html += "<p class=\"sub\">force-directed thumbnails (multilevel "
+                "Barnes–Hut force layout, deterministic from the campaign "
+                "topology seed); dense instances are stride-sampled.</p>";
+        html += gallery;
     }
 
     html += "</body></html>\n";

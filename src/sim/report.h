@@ -19,7 +19,9 @@
 //   * a topology gallery: one force-directed thumbnail per family at the
 //     largest recorded size, laid out by graph/layout.h (multilevel
 //     Barnes–Hut force layout, so n = 10⁵ thumbnails are fine) on the
-//     campaign's own topology seed.
+//     campaign's own topology seed; a family past report.cpp's node cap
+//     gets a note instead. Each thumbnail costs one graph build and one
+//     layout.
 //
 // Light and dark mode are both first-class: colors are CSS custom
 // properties with a prefers-color-scheme override, and the SVG marks
@@ -34,13 +36,9 @@
 namespace anole {
 
 struct report_options {
-    std::string title = "anole campaign report";
     // When nonzero, the coverage tile shows recorded/expected (the merge
     // path knows the expansion size; a bare ledger does not).
     std::size_t expected_units = 0;
-    // Topology gallery. Thumbnails cost one graph build + layout per
-    // family; families past report.cpp's node cap are skipped with a note.
-    bool thumbnails = true;
     // Worker threads for the gallery; 0 = hardware concurrency. One pool
     // serves both levels: families lay out concurrently (one job per
     // thumbnail), and each thumbnail's force pass shards over the same

@@ -129,7 +129,6 @@ const graph_profile& scenario_runner::profile_for(const graph& g) {
         }
     }
     profile_options po;
-    po.seed = 1;
     po.pool = &pool_;
     auto fresh = std::make_unique<graph_profile>(profile(g, po));
     bool inserted = false;

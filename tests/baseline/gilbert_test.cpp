@@ -12,7 +12,7 @@ namespace {
 gilbert_params params_for(const graph& g) {
     gilbert_params p;
     p.n = g.num_nodes();
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     p.tmix = std::max<std::uint64_t>(prof.mixing_time, 1);
     return p;
 }

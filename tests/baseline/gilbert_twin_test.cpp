@@ -129,7 +129,7 @@ void expect_same(const twin_run& ref, const twin_run& cur, const std::string& wh
 gilbert_params params_for(const graph& g) {
     gilbert_params p;
     p.n = g.num_nodes();
-    p.tmix = std::max<std::uint64_t>(profile(g, 1).mixing_time, 1);
+    p.tmix = std::max<std::uint64_t>(profile(g).mixing_time, 1);
     return p;
 }
 

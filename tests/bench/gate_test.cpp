@@ -113,5 +113,29 @@ TEST(Gate, FlagsRejectQuickCheckAndMalformedJobs) {
                 "requires a value");
 }
 
+TEST(Gate, FlagsShareTheBenchParserAndRejectUnusedSharedFlags) {
+    std::vector<std::string> args = {"bench", "--csv", "--json", "--json-out", "out.json",
+                                     "--check", "b.json", "--jobs", "3"};
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    const gate_options o = gate_options::parse(static_cast<int>(argv.size()), argv.data(), true);
+    EXPECT_TRUE(o.csv);
+    EXPECT_TRUE(o.json);
+    EXPECT_FALSE(o.quick);
+    EXPECT_EQ(o.jobs, 3u);
+    EXPECT_EQ(o.json_out, "out.json");
+    EXPECT_EQ(o.check, "b.json");
+    for (const bool takes_jobs : {true, false}) {
+        EXPECT_EXIT(parse_exit({"bench", "--full"}, takes_jobs), ::testing::ExitedWithCode(2),
+                    "unknown flag '--full'");
+        EXPECT_EXIT(parse_exit({"bench", "--seeds", "3"}, takes_jobs),
+                    ::testing::ExitedWithCode(2), "unknown flag '--seeds'");
+        EXPECT_EXIT(parse_exit({"bench", "--node-jobs", "2"}, takes_jobs),
+                    ::testing::ExitedWithCode(2), "unknown flag '--node-jobs'");
+        EXPECT_EXIT(parse_exit({"bench", "--bogus"}, takes_jobs),
+                    ::testing::ExitedWithCode(2), "unknown flag '--bogus'");
+    }
+}
+
 }  // namespace
 }  // namespace anole::bench

@@ -10,8 +10,8 @@
 namespace anole {
 namespace {
 
-irrevocable_params params_for(const graph& g, std::uint64_t seed = 1) {
-    const auto prof = profile(g, seed);
+irrevocable_params params_for(const graph& g) {
+    const auto prof = profile(g);
     irrevocable_params p;
     p.n = g.num_nodes();
     p.tmix = std::max<std::uint64_t>(prof.mixing_time, 1);

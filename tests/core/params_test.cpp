@@ -85,7 +85,7 @@ TEST(IrrevocableParams, Validation) {
     p.phi = 1.5;
     EXPECT_THROW(p.validate(), error);
     p.phi = 0.5;
-    p.c = 0;
+    p.cand_c = 0;
     EXPECT_THROW(p.validate(), error);
 }
 
@@ -113,12 +113,13 @@ TEST(RevocableParams, TauFraction) {
     const auto t = p.tau(4);
     EXPECT_EQ(t.num, 14u);
     EXPECT_EQ(t.den, 15u);
+    const auto t2 = p.tau(2);  // K = 4 -> τ = 2/3
+    EXPECT_EQ(t2.num, 2u);
+    EXPECT_EQ(t2.den, 3u);
     // Degenerate small k clamps to zero.
-    revocable_params q;
-    q.epsilon = 0.1;
-    const auto t2 = q.tau(2);  // K = ceil(2^1.1) = 3 -> τ = 1/2
-    EXPECT_EQ(t2.num, 1u);
-    EXPECT_EQ(t2.den, 2u);
+    const auto t1 = p.tau(1);  // K = 1
+    EXPECT_EQ(t1.num, 0u);
+    EXPECT_EQ(t1.den, 1u);
 }
 
 TEST(RevocableParams, BlindMatchesCorollaryForm) {
@@ -163,12 +164,9 @@ TEST(RevocableParams, ScaledPolicyFloorsApply) {
 TEST(RevocableParams, Validation) {
     revocable_params p;
     EXPECT_NO_THROW(p.validate());
-    p.epsilon = 0;
+    p.r_scale = 0;
     EXPECT_THROW(p.validate(), error);
-    p.epsilon = 1;
-    p.xi = 1.0;
-    EXPECT_THROW(p.validate(), error);
-    p.xi = 0.1;
+    p.r_scale = 1;
     p.isoperimetric = -1.0;
     EXPECT_THROW(p.validate(), error);
 }

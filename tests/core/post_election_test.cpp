@@ -60,7 +60,7 @@ TEST(Announce, RejectsBadArguments) {
 
 TEST(ExplicitElection, UpgradesImplicitToExplicit) {
     graph g = make_torus(6, 6);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     irrevocable_params p;
     p.n = g.num_nodes();
     p.tmix = prof.mixing_time;
@@ -80,7 +80,7 @@ TEST(ExplicitElection, UpgradesImplicitToExplicit) {
 
 TEST(ExplicitElection, FailedElectionShortCircuits) {
     graph g = make_torus(5, 5);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     irrevocable_params p;
     p.n = g.num_nodes();
     p.tmix = prof.mixing_time;

@@ -39,7 +39,7 @@ TEST(WalkEnsemble, MessagesBatchTokens) {
 TEST(WalkEnsemble, MixesToStationaryDistribution) {
     // After >= tmix steps, token counts approximate n_tokens * d_v/2m.
     graph g = make_random_regular(64, 4, 9);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     const std::uint64_t tokens = 100'000;
     const auto r = run_walk_ensemble(g, 0, tokens, 4 * prof.mixing_time, 11);
     const auto target = walk_stationary(g);

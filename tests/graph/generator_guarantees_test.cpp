@@ -78,7 +78,7 @@ TEST(GeneratorGuarantees, ExpanderFamiliesHaveSubstantialConductance) {
     // must keep their measured Φ bounded away from the cycle scale 2/n.
     for (const graph& g : {make_random_regular(128, 4, 5), make_hypercube(7),
                            make_erdos_renyi(128, 0.12, 5)}) {
-        const graph_profile prof = profile(g, 1);
+        const graph_profile prof = profile(g);
         EXPECT_GT(prof.conductance, 0.05) << g.name();
         EXPECT_TRUE(connected(g)) << g.name();
     }
@@ -112,8 +112,8 @@ TEST(GeneratorGuarantees, SweepUpperBoundIsSaneOnKnownGraphs) {
 TEST(GeneratorGuarantees, ProfileOrdersMixingTimesSensibly) {
     // tmix(C_32) = Θ(n²) must dwarf tmix(K_32) = O(1)-ish; the profile's
     // simulated values must reflect the ordering by a wide margin.
-    const graph_profile cyc = profile(make_cycle(32), 1);
-    const graph_profile com = profile(make_complete(32), 1);
+    const graph_profile cyc = profile(make_cycle(32));
+    const graph_profile com = profile(make_complete(32));
     EXPECT_GT(cyc.mixing_time, 10 * com.mixing_time);
     EXPECT_GT(cyc.mixing_time, 100u);  // Θ(n²) scale at n = 32
     // And the profile must agree with generator facts where present.
@@ -124,9 +124,9 @@ TEST(GeneratorGuarantees, RingOfCliquesConductanceScalesWithDial) {
     // The conductance dial: growing the clique size at fixed n must
     // *shrink* Φ (bottleneck stays 2 bridges, volume grows).
     const double phi_many_small =
-        profile(make_ring_of_cliques(16, 4), 1).conductance;
+        profile(make_ring_of_cliques(16, 4)).conductance;
     const double phi_few_big =
-        profile(make_ring_of_cliques(4, 16), 1).conductance;
+        profile(make_ring_of_cliques(4, 16)).conductance;
     EXPECT_GT(phi_many_small, phi_few_big);
     EXPECT_GT(phi_few_big, 0.0);
 }

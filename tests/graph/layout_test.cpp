@@ -16,6 +16,7 @@
 
 #include "graph/generators.h"
 #include "sim/thread_pool.h"
+#include "util/rng.h"
 
 namespace anole {
 namespace {
@@ -61,10 +62,11 @@ TEST(BhQuadtree, CoincidentPointsFoldIntoAggregateLeaves) {
 TEST(BhQuadtree, ThetaZeroMatchesBruteForcePairwiseSum) {
     // theta = 0 opens every cell: the traversal must reproduce the exact
     // O(V²) sum. Then theta = 0.85 must stay within a few percent.
-    const graph g = make_family(graph_family::watts_strogatz, 200, 7);
-    layout_options opt;
-    opt.iterations = 3;  // partially-settled, irregular positions
-    const std::vector<layout_point> pts = force_layout(g, opt);
+    // Seeded uniform points are irregular at every scale, as a layout is
+    // before it settles.
+    std::vector<layout_point> pts(200);
+    xoshiro256ss rng(7);
+    for (layout_point& p : pts) p = {rng.uniform01(), rng.uniform01()};
 
     bh_quadtree tree;
     tree.build(pts);
@@ -308,6 +310,14 @@ TEST(LayoutStress, ZeroForAnExactDrawingAndScaleFree) {
     EXPECT_THROW((void)layout_stress(g, std::vector<layout_point>(3), 3), error);
 }
 
+std::size_t count(const std::string& s, const char* tag) {
+    std::size_t k = 0;
+    for (std::size_t at = s.find(tag); at != std::string::npos; at = s.find(tag, at + 1)) {
+        ++k;
+    }
+    return k;
+}
+
 TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
     const graph g = make_family(graph_family::wheel, 64, 1);
     const std::vector<layout_point> pts = force_layout(g);
@@ -324,74 +334,72 @@ TEST(LayoutSvg, EmitsSelfContainedMarkupAndHonorsCaps) {
         at = svg.find("http://", at + 1);
     }
     EXPECT_EQ(svg.find("<script"), std::string::npos);
+    // Under both caps every edge and node is drawn.
+    EXPECT_EQ(count(svg, "<line"), g.num_edges());
+    EXPECT_EQ(count(svg, "<circle"), g.num_nodes());
 
-    // Caps: a tiny edge budget stride-samples rather than dropping the
-    // drawing or blowing it up.
-    layout_svg_options capped;
-    capped.max_edges = 10;
-    capped.max_nodes = 8;
-    const std::string small = layout_svg(g, pts, capped);
-    const auto count = [](const std::string& s, const char* tag) {
-        std::size_t k = 0;
-        for (std::size_t at = s.find(tag); at != std::string::npos;
-             at = s.find(tag, at + 1)) {
-            ++k;
-        }
-        return k;
-    };
-    // A stride of ⌈m/cap⌉ keeps the drawing within the cap: 126 edges at
-    // cap 10 draw 10 lines (a floor stride of 12 would draw 11).
-    EXPECT_LE(count(small, "<line"), 10u);
-    EXPECT_GE(count(small, "<line"), 5u);
-    EXPECT_LE(count(small, "<circle"), 8u);
-    EXPECT_GE(count(small, "<circle"), 4u);
+    // Caps: past 4000 edges or 20000 nodes a stride of ⌈count/cap⌉
+    // samples rather than dropping the drawing or blowing it up. A
+    // 20,002-node path has 20,001 edges: strides 6 and 2 draw 3334 lines
+    // and 10,001 circles, where floor strides of 5 and 1 would draw 4001
+    // and 20,002, past both caps. Positions do not change the counts.
+    const graph long_path = make_path(20002);
+    const std::string sampled =
+        layout_svg(long_path, std::vector<layout_point>(long_path.num_nodes()));
+    EXPECT_EQ(count(sampled, "<line"), 3334u);
+    EXPECT_EQ(count(sampled, "<circle"), 10001u);
+    // At exactly the 4000-edge cap nothing is sampled away.
+    const graph at_cap = make_path(4001);
+    const std::string full = layout_svg(at_cap, std::vector<layout_point>(4001));
+    EXPECT_EQ(count(full, "<line"), 4000u);
+    EXPECT_EQ(count(full, "<circle"), 4001u);
 
-    // The report's default cap on a dense thumbnail: er(1024) has ~10⁴
-    // edges, and at most 4000 of them may be drawn.
+    // A dense thumbnail as the report draws it: er(1024) has ~10⁴ edges,
+    // and at most 4000 of them may be drawn.
     const graph dense = make_family(graph_family::erdos_renyi, 1024, 1);
-    ASSERT_GT(dense.num_edges(), 2 * layout_svg_options{}.max_edges);
-    layout_options quick;
-    quick.iterations = 1;
-    const std::string big = layout_svg(dense, force_layout(dense, quick));
-    EXPECT_LE(count(big, "<line"), layout_svg_options{}.max_edges);
-    EXPECT_GE(count(big, "<line"), layout_svg_options{}.max_edges / 2);
+    ASSERT_GT(dense.num_edges(), 8000u);
+    const std::string big = layout_svg(dense, std::vector<layout_point>(1024));
+    EXPECT_LE(count(big, "<line"), 4000u);
+    EXPECT_GE(count(big, "<line"), 2000u);
 
     // Mismatched spans are a programming error.
     EXPECT_THROW((void)layout_svg(g, std::vector<layout_point>(3)), error);
 }
 
-// layout_svg as it was written with snprintf("%.1f") for every number.
-std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts,
-                         const layout_svg_options& opt) {
-    const double w = opt.width, h = opt.height, m = opt.margin;
-    const auto sx = [&](double x) { return m + x * (w - 2 * m); };
-    const auto sy = [&](double y) { return m + y * (h - 2 * m); };
+// layout_svg as it was written with snprintf("%.1f") for every number, at
+// the fixed 320×240 frame, margin 10, caps 4000/20000 and radius 1.6.
+constexpr double kW = 320, kH = 240, kMargin = 10;
+
+double scale_x(double x) { return kMargin + x * (kW - 2 * kMargin); }
+double scale_y(double y) { return kMargin + y * (kH - 2 * kMargin); }
+
+std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts) {
     const auto stride = [](std::size_t count, std::size_t cap) {
-        return cap == 0 ? std::size_t{1}
-                        : std::max<std::size_t>(1, (count + cap - 1) / cap);
+        return std::max<std::size_t>(1, (count + cap - 1) / cap);
     };
     std::string out;
     char buf[192];
     std::snprintf(buf, sizeof buf,
                   "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 %.0f %.0f\" "
                   "width=\"%.0f\" height=\"%.0f\" role=\"img\">",
-                  w, h, w, h);
+                  kW, kH, kW, kH);
     out += buf;
     const auto edges = g.edge_list();
     out += "<g class=\"ge\" stroke=\"#c3c2b7\" stroke-width=\"0.7\" "
            "stroke-opacity=\"0.55\">";
-    for (std::size_t i = 0; i < edges.size(); i += stride(edges.size(), opt.max_edges)) {
+    for (std::size_t i = 0; i < edges.size(); i += stride(edges.size(), 4000)) {
         const auto [u, v] = edges[i];
         std::snprintf(buf, sizeof buf,
                       "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\"/>",
-                      sx(pts[u].x), sy(pts[u].y), sx(pts[v].x), sy(pts[v].y));
+                      scale_x(pts[u].x), scale_y(pts[u].y), scale_x(pts[v].x),
+                      scale_y(pts[v].y));
         out += buf;
     }
     out += "</g>";
     out += "<g class=\"gn\" fill=\"#2a78d6\">";
-    for (std::size_t u = 0; u < pts.size(); u += stride(pts.size(), opt.max_nodes)) {
+    for (std::size_t u = 0; u < pts.size(); u += stride(pts.size(), 20000)) {
         std::snprintf(buf, sizeof buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\"/>",
-                      sx(pts[u].x), sy(pts[u].y), opt.node_radius);
+                      scale_x(pts[u].x), scale_y(pts[u].y), 1.6);
         out += buf;
     }
     out += "</g></svg>";
@@ -399,28 +407,36 @@ std::string snprintf_svg(const graph& g, const std::vector<layout_point>& pts,
 }
 
 TEST(LayoutSvg, NumbersMatchSnprintfByteForByte) {
-    layout_options quick;
-    quick.iterations = 20;
-    layout_svg_options odd;  // sizes whose scaled coordinates hit .x5 ties
-    odd.width = 333;
-    odd.height = 101;
-    odd.margin = 0.25;
-    odd.node_radius = 0.05;
-    odd.max_edges = 0;
     for (const auto& [family, n] :
          {std::pair{graph_family::wheel, 16}, {graph_family::torus, 100},
           {graph_family::watts_strogatz, 256}, {graph_family::erdos_renyi, 1024},
           {graph_family::connected_caveman, 300}}) {
         const graph g = make_family(family, static_cast<std::size_t>(n), 1);
-        const std::vector<layout_point> pts = force_layout(g, quick);
-        EXPECT_EQ(layout_svg(g, pts), snprintf_svg(g, pts, {})) << to_string(family);
-        EXPECT_EQ(layout_svg(g, pts, odd), snprintf_svg(g, pts, odd)) << to_string(family);
+        const std::vector<layout_point> pts = force_layout(g);
+        EXPECT_EQ(layout_svg(g, pts), snprintf_svg(g, pts)) << to_string(family);
     }
+    // Points whose scaled coordinates hit .x5 ties: x = j/1200 and
+    // y = j/880 scale to 10 + j/4, so odd j land on .25 and .75, which
+    // are exact in binary and round half to even.
+    const graph ties = make_path(1201);
+    std::vector<layout_point> grid(ties.num_nodes());
+    std::size_t exact_ties = 0;
+    for (std::size_t u = 0; u < grid.size(); ++u) {
+        grid[u] = {static_cast<double>(u) / 1200.0, static_cast<double>(u % 881) / 880.0};
+        for (const double v : {scale_x(grid[u].x), scale_y(grid[u].y)}) {
+            const double quarters = 4 * v;
+            if (quarters == std::floor(quarters) && std::fmod(quarters, 2.0) == 1.0) {
+                ++exact_ties;
+            }
+        }
+    }
+    EXPECT_GT(exact_ties, 1000u);  // the input does exercise the ties
+    EXPECT_EQ(layout_svg(ties, grid), snprintf_svg(ties, grid));
     // Points off the unit square (negative, huge) print the same way too.
     const graph path = make_path(4);
     const std::vector<layout_point> wild = {
         {-0.004, 0.0}, {-1e6, 3.25e-9}, {123456.789, -0.0}, {0.04999, 2.5e5}};
-    EXPECT_EQ(layout_svg(path, wild), snprintf_svg(path, wild, {}));
+    EXPECT_EQ(layout_svg(path, wild), snprintf_svg(path, wild));
 }
 
 }  // namespace

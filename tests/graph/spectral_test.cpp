@@ -125,7 +125,7 @@ TEST(Fiedler, SweepNearExactOnRingOfCliques) {
 
 TEST(Profile, HonorsGeneratorFacts) {
     graph g = make_cycle(32);  // has facts: diameter, Φ, i, tmix
-    const auto p = profile(g, 1);
+    const auto p = profile(g);
     EXPECT_EQ(p.diameter, 16u);
     EXPECT_NEAR(p.conductance, 2.0 / 32.0, 1e-12);
     EXPECT_EQ(p.mixing_time, 32u * 32u);
@@ -133,7 +133,7 @@ TEST(Profile, HonorsGeneratorFacts) {
 
 TEST(Profile, ComputesWhenNoFacts) {
     graph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});  // hand-built C_4
-    const auto p = profile(g, 1);
+    const auto p = profile(g);
     EXPECT_EQ(p.n, 4u);
     EXPECT_EQ(p.m, 4u);
     EXPECT_EQ(p.diameter, 2u);
@@ -179,7 +179,7 @@ TEST(MixingTime, SimulatedDeterministicAcrossPools) {
 }
 
 TEST(Profile, ProvenanceReportsFacts) {
-    const auto p = profile(make_cycle(32), 1);  // generator ships all facts
+    const auto p = profile(make_cycle(32));  // generator ships all facts
     EXPECT_EQ(p.diameter_method, profile_method::fact);
     EXPECT_EQ(p.conductance_method, profile_method::fact);
     EXPECT_EQ(p.isoperimetric_method, profile_method::fact);
@@ -188,7 +188,7 @@ TEST(Profile, ProvenanceReportsFacts) {
 
 TEST(Profile, ProvenanceReportsExactOnSmallBareGraph) {
     graph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-    const auto p = profile(g, 1);
+    const auto p = profile(g);
     EXPECT_EQ(p.diameter_method, profile_method::exact);
     EXPECT_EQ(p.conductance_method, profile_method::exact);   // n <= 20
     EXPECT_EQ(p.mixing_method, profile_method::exact);        // exhaustive starts
@@ -198,7 +198,7 @@ TEST(Profile, ProvenanceReportsExactOnSmallBareGraph) {
 TEST(Profile, ProvenanceReportsBoundsOnLargerBareGraph) {
     const graph g = make_family(graph_family::connected_caveman, 200, 1);
     graph stripped(g.num_nodes(), g.edge_list());
-    const auto p = profile(stripped, 1);
+    const auto p = profile(stripped);
     EXPECT_EQ(p.conductance_method, profile_method::sweep);  // n > 20
     // n > 128: whatever tmix method the cost model picked, it is not the
     // exhaustive-exact one, and the value must respect the spectral bound.
@@ -217,7 +217,7 @@ TEST(Profile, MethodNamesRoundTrip) {
 }
 
 TEST(Profile, ToJsonCarriesProvenance) {
-    const auto p = profile(make_cycle(32), 1);
+    const auto p = profile(make_cycle(32));
     const std::string j = p.to_json();
     EXPECT_NE(j.find("\"mixing_method\":\"fact\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"diameter_method\":\"fact\""), std::string::npos) << j;
@@ -231,7 +231,7 @@ TEST(Profile, BitwiseIdenticalAcrossPools) {
     // determinism tests above.
     const graph g = make_family(graph_family::watts_strogatz, 128, 1);
     graph stripped(g.num_nodes(), g.edge_list());
-    const auto serial = profile(stripped, 1);
+    const auto serial = profile(stripped);
     for (thread_pool* pool : {&p2, &p8}) {
         profile_options opt;
         opt.pool = pool;
@@ -294,7 +294,7 @@ TEST(Profile, JsonPinnedAcrossKernelRewrite) {
          R"("mixing_method":"simulated","lambda2_converged":true})"},
     };
     for (const pin& p : pins) {
-        EXPECT_EQ(profile(make_family(p.family, p.n, 1), 1).to_json(), p.json)
+        EXPECT_EQ(profile(make_family(p.family, p.n, 1)).to_json(), p.json)
             << to_string(p.family) << " n=" << p.n;
     }
 }

@@ -119,7 +119,7 @@ TEST(ZooGuarantees, DumbbellFactsAndBottleneck) {
         EXPECT_EQ(diameter_exact(g), bar + 3);
         EXPECT_TRUE(connected(g));
     }
-    const double phi = profile(make_dumbbell(8, 4), 1).conductance;
+    const double phi = profile(make_dumbbell(8, 4)).conductance;
     EXPECT_LT(phi, 0.05);
     EXPECT_GT(phi, 0.0);
 }
@@ -141,10 +141,10 @@ TEST(ZooGuarantees, ZooCoversBothEndsOfTheConductanceAxis) {
     // The reason these families exist: at comparable sizes the clustered/
     // bottlenecked zoo members sit well below the small-world and
     // heavy-tail members on Φ, giving the campaign sweeps both regimes.
-    const double phi_ws = profile(make_watts_strogatz(64, 4, 0.15, 1), 1).conductance;
-    const double phi_ba = profile(make_barabasi_albert(64, 2, 1), 1).conductance;
-    const double phi_dumbbell = profile(make_dumbbell(30, 4), 1).conductance;
-    const double phi_caveman = profile(make_connected_caveman(8, 8), 1).conductance;
+    const double phi_ws = profile(make_watts_strogatz(64, 4, 0.15, 1)).conductance;
+    const double phi_ba = profile(make_barabasi_albert(64, 2, 1)).conductance;
+    const double phi_dumbbell = profile(make_dumbbell(30, 4)).conductance;
+    const double phi_caveman = profile(make_connected_caveman(8, 8)).conductance;
     EXPECT_GT(phi_ws, 5 * phi_dumbbell);
     EXPECT_GT(phi_ba, 5 * phi_dumbbell);
     EXPECT_GT(phi_ws, 3 * phi_caveman);
@@ -154,8 +154,8 @@ TEST(ZooGuarantees, ZooCoversBothEndsOfTheConductanceAxis) {
 TEST(ZooGuarantees, MixingTimeOrdersBottleneckVsSmallWorld) {
     // tmix blows up with the bottleneck: dumbbell must mix an order of
     // magnitude slower than the equally-sized small world.
-    const auto tmix_sw = profile(make_watts_strogatz(64, 4, 0.15, 1), 1).mixing_time;
-    const auto tmix_db = profile(make_dumbbell(30, 4), 1).mixing_time;
+    const auto tmix_sw = profile(make_watts_strogatz(64, 4, 0.15, 1)).mixing_time;
+    const auto tmix_db = profile(make_dumbbell(30, 4)).mixing_time;
     EXPECT_GT(tmix_db, 10 * tmix_sw);
 }
 

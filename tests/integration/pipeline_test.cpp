@@ -16,7 +16,7 @@ namespace {
 
 TEST(Pipeline, AllProtocolsElectOnTheSameGraph) {
     graph g = make_random_regular(64, 4, 3);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
 
     const auto fr = run_flood_max(g, prof.diameter, 5);
     EXPECT_TRUE(fr.success);
@@ -43,7 +43,7 @@ TEST(Pipeline, MessageOrderingMatchesTable1OnExpander) {
     // The paper's Theorem 1 claim, as a shape: on a well-connected graph
     // our protocol needs fewer messages than the Gilbert-style baseline.
     graph g = make_random_regular(256, 4, 7);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
 
     gilbert_params gp;
     gp.n = g.num_nodes();
@@ -64,7 +64,7 @@ TEST(Pipeline, MessageOrderingMatchesTable1OnExpander) {
 
 TEST(Pipeline, CongestBitsPerMessageIsLogarithmic) {
     graph g = make_torus(8, 8);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     irrevocable_params ip;
     ip.n = g.num_nodes();
     ip.tmix = prof.mixing_time;
@@ -81,7 +81,7 @@ TEST(Pipeline, PermutedPortsGiveSameSuccessProfile) {
     // Anonymity end-to-end: relabeling ports must not change whether the
     // protocol family succeeds (it may change which node wins).
     graph g = make_torus(6, 6);
-    const auto prof = profile(g, 1);
+    const auto prof = profile(g);
     irrevocable_params ip;
     ip.n = g.num_nodes();
     ip.tmix = prof.mixing_time;
@@ -102,7 +102,7 @@ TEST(Pipeline, ProfileFeedsConsistentInputs) {
     for (auto fam : {graph_family::cycle, graph_family::torus,
                      graph_family::random_regular}) {
         graph g = make_family(fam, 64, 3);
-        const auto prof = profile(g, 1);
+        const auto prof = profile(g);
         EXPECT_GT(prof.conductance, 0.0) << to_string(fam);
         EXPECT_GE(static_cast<double>(prof.mixing_time) * prof.conductance, 0.4)
             << to_string(fam);

@@ -238,20 +238,18 @@ TEST(Claims, DynamicsCellsAreNeverRead) {
 }
 
 TEST(Claims, ReportHasAClaimsSectionOnlyWhenAClaimApplies) {
-    report_options opt;
-    opt.thumbnails = false;
-    const std::string with = render_campaign_report(paper_shaped(), opt);
+    const std::string with = render_campaign_report(paper_shaped());
     EXPECT_NE(with.find("<h2>claims</h2>"), std::string::npos);
     EXPECT_NE(with.find("theorem1.exponent"), std::string::npos);
     EXPECT_NE(with.find("applicable claim(s) hold"), std::string::npos);
 
     std::vector<campaign_record> failing;
     add_coordinate(failing, graph_family::torus, 64, 9000, 3000);
-    const std::string red = render_campaign_report(failing, opt);
+    const std::string red = render_campaign_report(failing);
     EXPECT_NE(red.find("failed: <code>table1.B&lt;C</code>"), std::string::npos);
 
     const std::string without = render_campaign_report(
-        {planted(graph_family::cycle, 16, algo_kind::flood_max, 1, 40, 8)}, opt);
+        {planted(graph_family::cycle, 16, algo_kind::flood_max, 1, 40, 8)});
     EXPECT_EQ(without.find("<h2>claims</h2>"), std::string::npos);
 }
 

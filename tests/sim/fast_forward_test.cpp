@@ -473,7 +473,7 @@ void append_exec(std::vector<std::uint64_t>& out, const cb_exec& e) {
 template <>
 struct hook_protocol<irrevocable_node> {
     explicit hook_protocol(const graph& g) {
-        const graph_profile prof = profile(g, 1);
+        const graph_profile prof = profile(g);
         params.n = g.num_nodes();
         params.tmix = std::max<std::uint64_t>(prof.mixing_time, 1);
         params.phi = prof.conductance;

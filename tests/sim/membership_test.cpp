@@ -138,7 +138,7 @@ TEST(Membership, FloodOnEmptyLiveSetReportsBoundedFailure) {
     const graph g = make_family(graph_family::star, 16, 1);
     dynamics_spec spec;
     spec.leave_prob = 1.0;
-    const graph_profile prof = profile(g, 1);
+    const graph_profile prof = profile(g);
     const run_record rec =
         scenario_runner::run_once(g, prof, flood_cfg{}, 21, spec);
     EXPECT_FALSE(rec.ok);

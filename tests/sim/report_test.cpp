@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "graph/generators.h"
+#include "graph/layout.h"
 #include "sim/runner.h"
 
 namespace anole {
@@ -30,13 +32,12 @@ TEST(Report, RendersEverySectionSelfContained) {
     ASSERT_EQ(records.size(), 16u);
 
     report_options opt;
-    opt.title = "fleet nightly";
     opt.expected_units = 16;
     const std::string html = render_campaign_report(records, opt);
 
     // Document shell and the declared sections.
     EXPECT_EQ(html.rfind("<!DOCTYPE html>", 0), 0u);
-    EXPECT_NE(html.find("<title>fleet nightly</title>"), std::string::npos);
+    EXPECT_NE(html.find("<title>anole campaign report</title>"), std::string::npos);
     EXPECT_NE(html.find("units recorded"), std::string::npos);
     EXPECT_NE(html.find("16 / 16"), std::string::npos);  // expected_units tile
     EXPECT_NE(html.find("mean messages vs n"), std::string::npos);
@@ -84,9 +85,7 @@ TEST(Report, SurfacesViolationsAndFailures) {
     records[1].ok = false;
     records[1].error = "engine exploded <dramatically>";
 
-    report_options opt;
-    opt.thumbnails = false;  // violation path needs no gallery
-    const std::string html = render_campaign_report(records, opt);
+    const std::string html = render_campaign_report(records);
     EXPECT_NE(html.find("1 oracle violation(s)"), std::string::npos);
     EXPECT_NE(html.find(records[0].unit.key()), std::string::npos);
     EXPECT_NE(html.find("VIOLATION multi_leader: 2 leaders"), std::string::npos);
@@ -94,7 +93,8 @@ TEST(Report, SurfacesViolationsAndFailures) {
     // HTML-escaped, not injected.
     EXPECT_NE(html.find("engine exploded &lt;dramatically&gt;"), std::string::npos);
     EXPECT_EQ(html.find("<dramatically>"), std::string::npos);
-    EXPECT_EQ(html.find("topology gallery"), std::string::npos);
+    // The gallery is always drawn, next to the safety section.
+    EXPECT_NE(html.find("topology gallery"), std::string::npos);
 }
 
 TEST(Report, EmptyLedgerStillRendersADocument) {
@@ -108,18 +108,16 @@ TEST(Report, WritesFileAndThrowsOnBadPath) {
     const std::string path = ::testing::TempDir() + "anole_report_test.html";
     std::remove(path.c_str());
     const std::vector<campaign_record> records = run_tiny_campaign();
-    report_options opt;
-    opt.thumbnails = false;
-    write_campaign_report(path, records, opt);
+    write_campaign_report(path, records);
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::stringstream ss;
     ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), render_campaign_report(records, opt));
+    EXPECT_EQ(ss.str(), render_campaign_report(records));
     std::remove(path.c_str());
 
     EXPECT_THROW(
-        write_campaign_report("/nonexistent_dir_anole/report.html", records, opt),
+        write_campaign_report("/nonexistent_dir_anole/report.html", records),
         error);
 }
 
@@ -171,6 +169,25 @@ TEST(Report, GalleryBytesIdenticalAcrossJobs) {
         opt.jobs = jobs;
         EXPECT_EQ(render_campaign_report(records, opt), base) << "jobs=" << jobs;
     }
+}
+
+TEST(Report, GalleryFigureIsTheLayoutSvgOfTheTopology) {
+    // The thumbnail is layout_svg of force_layout on the campaign's own
+    // topology seed, the bytes examples/topology_gallery prints for the
+    // same (family, n, seed). The report's pool changes none of them.
+    campaign_record r;
+    r.unit.family = graph_family::wheel;
+    r.unit.n = 24;
+    r.unit.topology_seed = 5;
+    r.unit.variant = algo_kind::flood_max;
+    r.ok = true;
+    const graph g = make_family(graph_family::wheel, 24, 5);
+    const std::string figure = "<figure class=\"thumb\">" +
+                               layout_svg(g, force_layout(g, {.seed = 5})) +
+                               "<figcaption>wheel · n=24</figcaption></figure>";
+    report_options opt;
+    opt.jobs = 4;
+    EXPECT_NE(render_campaign_report({r}, opt).find(figure), std::string::npos);
 }
 
 TEST(Report, GalleryFailureSurfacesAsError) {
