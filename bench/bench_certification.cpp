@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     for (const graph& g : graphs) {
         revocable_cfg rc;
         rc.params = revocable_params::paper_faithful();
-        rc.params.exact_potentials = false;
         rc.max_rounds = 120'000'000;
         batch.push_back(scenario{"", &g, rc, 1700, seeds});
     }

@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
         for (const auto& [g, informed] : cases) {
             revocable_cfg rc;
             rc.params = revocable_params::paper_faithful();
-            rc.params.exact_potentials = false;  // approx values, charged bits
-            rc.auto_isoperimetric = informed;    // profile i(G) is exact here
+            rc.auto_isoperimetric = informed;  // profile i(G) is exact here
             rc.max_rounds = 120'000'000;
             batch.push_back(scenario{"", &g, rc, 1100, seeds});
         }

@@ -14,19 +14,19 @@
 // share_denominator for why the analysis is preserved.
 //
 // Two arithmetic modes:
+//   * approx — double arithmetic; messages are *charged* the paper's bit
+//     cost (1 + round·log2 D bits), so time/bit accounting follows
+//     Theorem 3's model ("each iteration i takes i·log(2k^{1+ε}) rounds")
+//     even though the payload is a machine double. revocable_node runs
+//     this mode only.
 //   * exact — util/dyadic.h values; the conservation invariant
 //     Σ Φ = const holds bit-for-bit and messages carry the true
 //     (growing) encoding, transmitted bit-by-bit under CONGEST via the
-//     fragmenting budget. Mantissas grow ~log2(D) bits per round — the
-//     paper's own accounting ("each iteration i takes i·log(2k^{1+ε})
-//     rounds") concedes this growth, so exact mode is for small round
-//     counts (tests, E9 ablation).
-//   * approx — double arithmetic for long sweeps; messages are *charged*
-//     the paper's bit cost (1 + round·⌈log2 D⌉ bits) so time/bit
-//     accounting still follows Theorem 3's model even though the payload
-//     is a machine double.
+//     fragmenting budget. Mantissas grow ~log2(D) bits per round, so
+//     exact mode is for small round counts: it is the reference the
+//     double mode is measured against (tests, E9c in bench_diffusion).
 //
-// This header provides the shared update helpers plus a standalone
+// This header provides both update helpers plus a standalone
 // diffusion-only protocol used by the Lemma 3/4 experiments (E9).
 #pragma once
 
@@ -75,8 +75,7 @@ namespace anole {
 
 struct diff_msg {
     double pot_d = 0;
-    dyadic pot_x;
-    bool exact = false;
+    dyadic pot_exact;
     std::uint64_t charged = 0;  // set by sender
 
     [[nodiscard]] std::size_t bit_size() const noexcept { return charged; }
@@ -97,7 +96,7 @@ public:
           log2_d_(log2_d),
           rounds_(rounds),
           pot_d_(start),
-          pot_x_(start >= 1.0 ? dyadic::one() : dyadic::zero()) {
+          pot_exact_(start >= 1.0 ? dyadic::one() : dyadic::zero()) {
         require(!exact || start == 0.0 || start == 1.0,
                 "diffusion_node: exact mode starts from 0/1 potentials");
     }
@@ -112,9 +111,9 @@ public:
                 in.reserve(inbox.size());
                 for (const auto& [port, msg] : inbox) {
                     (void)port;
-                    in.push_back(msg.pot_x);
+                    in.push_back(msg.pot_exact);
                 }
-                pot_x_ = diffuse_exact(pot_x_, in, d, log2_d_);
+                pot_exact_ = diffuse_exact(pot_exact_, in, d, log2_d_);
             } else {
                 std::vector<double> in;
                 in.reserve(inbox.size());
@@ -130,10 +129,9 @@ public:
             return;
         }
         diff_msg m;
-        m.exact = exact_;
         if (exact_) {
-            m.pot_x = pot_x_;
-            m.charged = m.pot_x.wire_bits();
+            m.pot_exact = pot_exact_;
+            m.charged = m.pot_exact.wire_bits();
         } else {
             m.pot_d = pot_d_;
             m.charged = charged_potential_bits(ctx.round() + 1, log2_d_);
@@ -142,9 +140,9 @@ public:
     }
 
     [[nodiscard]] double potential() const noexcept {
-        return exact_ ? pot_x_.to_double() : pot_d_;
+        return exact_ ? pot_exact_.to_double() : pot_d_;
     }
-    [[nodiscard]] const dyadic& potential_exact() const noexcept { return pot_x_; }
+    [[nodiscard]] const dyadic& potential_exact() const noexcept { return pot_exact_; }
     [[nodiscard]] bool exact() const noexcept { return exact_; }
 
 private:
@@ -153,7 +151,7 @@ private:
     std::size_t log2_d_;
     std::uint64_t rounds_;
     double pot_d_;
-    dyadic pot_x_;
+    dyadic pot_exact_;
 };
 
 }  // namespace anole

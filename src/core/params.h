@@ -16,7 +16,8 @@
 //     Corollary 1). Provides the paper-faithful functional forms f(k),
 //     p(k), r(k), τ(k) and optional scaling knobs for tractable sweeps
 //     (documented substitution — see docs/ALGORITHMS.md, "Documented
-//     deviations" item 4).
+//     deviations" item 4). Both policies diffuse double potentials and
+//     charge each message the paper's bit-by-bit size.
 #pragma once
 
 #include <algorithm>
@@ -135,10 +136,6 @@ struct revocable_params {
     // current *estimate* k standing in for n, i.e. i_eff(k) = 2/k.
     std::optional<double> isoperimetric;
 
-    // Exact dyadic potentials (paper-faithful bit-by-bit accounting) vs
-    // double (fast, ablation E9).
-    bool exact_potentials = true;
-
     // --- scaled-policy knobs (docs/ALGORITHMS.md, "Documented deviations") ---
     // Multipliers < 1 shrink the phase lengths below the proven bounds;
     // floors keep phases non-degenerate. paper_faithful() leaves these 1.
@@ -164,7 +161,6 @@ struct revocable_params {
         p.f_scale = f_scale;
         p.r_floor = 8;
         p.f_floor = 6;
-        p.exact_potentials = false;
         return p;
     }
 
@@ -174,7 +170,9 @@ struct revocable_params {
     }
 
     // Share denominator D(k): the paper's 2k^{1+ε} rounded up to a power
-    // of two so dyadic potentials stay exact. The diffusion matrix stays
+    // of two, so a potential after r rounds is a dyadic rational of at
+    // most 1 + r·log2 D(k) bits, the size each message is charged
+    // (core/diffusion.h charged_potential_bits). The diffusion matrix stays
     // symmetric and doubly stochastic; φ(P) shrinks by at most 2x, which
     // r(k) below absorbs by using D(k) directly (the paper's
     // 8k^{2(1+ε)}/i(G)² is exactly 2·(2k^{1+ε})²/i(G)²).
@@ -197,8 +195,8 @@ struct revocable_params {
     }
 
     // τ(k) = 1 − 1/(k^{1+ε} − 1) as an exact fraction (num, den) =
-    // ((K−2), (K−1)) with K = ⌈k^{1+ε}⌉; compared exactly against dyadic
-    // potentials. For k = 2, K = 2^{1+ε} may be < 3 — τ clamps to 0.
+    // ((K−2), (K−1)) with K = ⌈k^{1+ε}⌉; the node compares its potential
+    // against num/den. For k = 2, K = 2^{1+ε} may be < 3 — τ clamps to 0.
     struct threshold_fraction {
         std::uint64_t num;
         std::uint64_t den;

@@ -30,7 +30,6 @@ void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox)
             if (!q_low_ && potential_above_tau()) {
                 q_low_ = true;
                 pot_d_ = 1.0;
-                pot_x_ = dyadic::one();
             }
             phase_ = phase::disseminate;
             round_in_phase_ = 1;
@@ -67,7 +66,7 @@ void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox)
 }
 
 std::uint64_t revocable_node::quiet_horizon() const noexcept {
-    if (!quiet_ || p_->exact_potentials) return 0;
+    if (!quiet_) return 0;
     return (phase_ == phase::diffuse ? r_k_ : d_k_) - round_in_phase_;
 }
 
@@ -102,13 +101,7 @@ void revocable_node::start_iteration(node_ctx<rev_msg>& ctx) {
     white_ = ctx.rng().bernoulli(p_->p_white(k_));
     q_low_ = false;
     c_white_ = white_;  // Algorithm 7 line 2
-    if (white_) {
-        pot_d_ = 0.0;
-        pot_x_ = dyadic::zero();
-    } else {
-        pot_d_ = 1.0;
-        pot_x_ = dyadic::one();
-    }
+    pot_d_ = white_ ? 0.0 : 1.0;
     phase_ = phase::diffuse;
     round_in_phase_ = 0;
 }
@@ -127,27 +120,16 @@ void revocable_node::apply_exchange(inbox_view<rev_msg> inbox, bool diffusion_up
             }
         }
         if (all_probing) {
-            if (p_->exact_potentials) {
-                std::vector<dyadic> in;
-                in.reserve(inbox.size());
-                for (const auto& [port, msg] : inbox) {
-                    (void)port;
-                    in.push_back(msg.pot_x);
-                }
-                pot_x_ = diffuse_exact(pot_x_, in, share_d_, share_log2_);
-            } else {
-                std::vector<double> in;
-                in.reserve(inbox.size());
-                for (const auto& [port, msg] : inbox) {
-                    (void)port;
-                    in.push_back(msg.pot_d);
-                }
-                pot_d_ = diffuse_approx(pot_d_, in, share_d_);
+            std::vector<double> in;
+            in.reserve(inbox.size());
+            for (const auto& [port, msg] : inbox) {
+                (void)port;
+                in.push_back(msg.pot_d);
             }
+            pot_d_ = diffuse_approx(pot_d_, in, share_d_);
         } else {
             q_low_ = true;
             pot_d_ = 1.0;
-            pot_x_ = dyadic::one();
         }
     } else {
         // Dissemination (Algorithm 7 lines 16-18).
@@ -166,20 +148,14 @@ void revocable_node::apply_exchange(inbox_view<rev_msg> inbox, bool diffusion_up
 
 void revocable_node::broadcast(node_ctx<rev_msg>& ctx, bool with_potential) {
     rev_msg m;
-    m.has_potential = with_potential;
     m.q_low = q_low_;
     m.c_white = c_white_;
     m.idldr = idldr_;
     m.kldr = kldr_;
     std::size_t bits = header_bits();
     if (with_potential) {
-        if (p_->exact_potentials) {
-            m.pot_x = pot_x_;
-            bits += m.pot_x.wire_bits();
-        } else {
-            m.pot_d = pot_d_;
-            bits += charged_potential_bits(round_in_phase_ + 1, share_log2_);
-        }
+        m.pot_d = pot_d_;
+        bits += charged_potential_bits(round_in_phase_ + 1, share_log2_);
     }
     m.charged = bits;
     for (port_id p = 0; p < degree_; ++p) ctx.send(p, m);
@@ -219,16 +195,7 @@ void revocable_node::consider_leader(std::uint64_t cand_id, std::uint64_t cand_k
 
 bool revocable_node::potential_above_tau() const {
     const auto tau = p_->tau(k_);
-    if (tau.num == 0) return !p_->exact_potentials ? pot_d_ > 0 : !pot_x_.is_zero();
-    if (!p_->exact_potentials) {
-        return pot_d_ > static_cast<double>(tau.num) / static_cast<double>(tau.den);
-    }
-    // pot > num/den  <=>  mant * den > num * 2^exp   (exact).
-    bigint lhs = pot_x_.mantissa();
-    lhs.mul_small(tau.den);
-    bigint rhs(tau.num);
-    rhs <<= pot_x_.exponent();
-    return lhs > rhs;
+    return pot_d_ > static_cast<double>(tau.num) / static_cast<double>(tau.den);
 }
 
 // ---------------------------------------------------------------------------

@@ -43,15 +43,14 @@
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/bit_codec.h"
-#include "util/dyadic.h"
 
 namespace anole {
 
-// Broadcast payload for both diffusion and dissemination rounds.
+// Broadcast payload for both diffusion and dissemination rounds. The
+// potential is a double charged the paper's bit-by-bit size
+// (core/diffusion.h charged_potential_bits), not its sizeof.
 struct rev_msg {
-    bool has_potential = false;  // diffusion rounds only
-    double pot_d = 0;
-    dyadic pot_x;
+    double pot_d = 0;  // read in diffusion rounds only
     bool q_low = false;
     bool c_white = false;
     std::uint64_t idldr = 0;  // 0 = nil
@@ -72,11 +71,10 @@ public:
 
     // --- quiet-round fast-forward hooks (sim/engine.h) ---
     // Plain rounds left in the current phase when the last round was
-    // plain and changed no observable field; 0 otherwise, and always in
-    // exact-potential mode.
+    // plain and changed no observable field; 0 otherwise.
     [[nodiscard]] std::uint64_t quiet_horizon() const noexcept;
     // What broadcast charges per message in the next plain round, growing
-    // by share_log2 bits a round while diffusing in double mode.
+    // by share_log2 bits a round while diffusing.
     [[nodiscard]] bit_charge quiet_charge() const noexcept;
     void fast_forward(std::uint64_t rounds) noexcept { round_in_phase_ += rounds; }
 
@@ -154,7 +152,6 @@ private:
     bool q_low_ = false;
     bool c_white_ = false;
     double pot_d_ = 1.0;
-    dyadic pot_x_ = dyadic::one();
 
     // Decision state.
     std::uint64_t id_ = 0, cert_ = 0;      // own (ID, certificate); 0 = nil

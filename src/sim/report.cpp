@@ -6,6 +6,7 @@
 #include <exception>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "graph/generators.h"
 #include "graph/layout.h"
@@ -354,8 +355,9 @@ std::string claims_html(const std::vector<claim_result>& claims) {
     return s + table_html(claims_table(claims));
 }
 
-std::string gallery_html(const std::vector<campaign_record>& records,
-                         const report_options& opt) {
+// One thumbnail figure per family, in pick order; empty without records.
+std::vector<std::string> gallery_figures(const std::vector<campaign_record>& records,
+                                         const report_options& opt) {
     // Largest recorded instance per family, first-appearance order.
     struct pick {
         graph_family family;
@@ -374,12 +376,12 @@ std::string gallery_html(const std::vector<campaign_record>& records,
             p.topology_seed = r.unit.topology_seed;
         }
     }
-    if (picks.empty()) return "";
+    if (picks.empty()) return {};
 
     thread_pool pool(opt.jobs);
 
     // One job per pick, each writing only its own slot; the force pass
-    // inside shards over the same (helping) pool. Slots are joined in
+    // inside shards over the same (helping) pool. Slots are read in
     // pick order, so the bytes do not depend on scheduling. Pool jobs
     // must not throw: a failure is parked in its slot, and the first one
     // in pick order is rethrown, so the error does not depend on it
@@ -407,11 +409,7 @@ std::string gallery_html(const std::vector<campaign_record>& records,
     for (const std::exception_ptr& e : errors) {
         if (e) std::rethrow_exception(e);
     }
-
-    std::string s = "<div class=\"gallery\">";
-    for (const std::string& f : figures) s += f;
-    s += "</div>";
-    return s;
+    return figures;
 }
 
 // Every color below is a CSS custom property with a dark-mode override;
@@ -537,17 +535,29 @@ std::string render_campaign_report(const std::vector<campaign_record>& records,
     html += "<h2>safety</h2>";
     html += safety_html(records);
 
-    // Scoped to the if: the gallery's megabyte is freed before the last
-    // append can grow `html`, which keeps the report's peak memory down.
-    if (const std::string gallery = gallery_html(records, opt); !gallery.empty()) {
-        html += "<h2>topology gallery</h2>";
-        html += "<p class=\"sub\">force-directed thumbnails (multilevel "
-                "Barnes–Hut force layout, deterministic from the campaign "
-                "topology seed); dense instances are stride-sampled.</p>";
-        html += gallery;
+    static constexpr std::string_view gallery_head =
+        "<h2>topology gallery</h2>"
+        "<p class=\"sub\">force-directed thumbnails (multilevel "
+        "Barnes–Hut force layout, deterministic from the campaign "
+        "topology seed); dense instances are stride-sampled.</p>"
+        "<div class=\"gallery\">";
+    static constexpr std::string_view gallery_tail = "</div>";
+    static constexpr std::string_view page_tail = "</body></html>\n";
+
+    // The figures go straight into `html`, reserved once at its final
+    // size: at the report's peak the gallery (about a megabyte at
+    // n = 1024) lives in the figures and in `html`, and nowhere else.
+    const std::vector<std::string> figures = gallery_figures(records, opt);
+    if (!figures.empty()) {
+        std::size_t rest = gallery_head.size() + gallery_tail.size() + page_tail.size();
+        for (const std::string& f : figures) rest += f.size();
+        html.reserve(html.size() + rest);
+        html += gallery_head;
+        for (const std::string& f : figures) html += f;
+        html += gallery_tail;
     }
 
-    html += "</body></html>\n";
+    html += page_tail;
     return html;
 }
 

@@ -2,32 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
-#include <cmath>
 
 namespace anole {
 
 namespace {
 constexpr std::size_t limb_bits = 64;
-}
-
-bigint bigint::from_decimal(const std::string& s) {
-    require(!s.empty(), "bigint::from_decimal: empty string");
-    bigint out;
-    for (char ch : s) {
-        require(std::isdigit(static_cast<unsigned char>(ch)) != 0,
-                "bigint::from_decimal: non-digit character");
-        out.mul_small(10);
-        out += bigint(static_cast<std::uint64_t>(ch - '0'));
-    }
-    return out;
-}
-
-bigint bigint::pow2(std::size_t k) {
-    bigint out;
-    out.limbs_.assign(k / limb_bits + 1, 0);
-    out.limbs_.back() = std::uint64_t{1} << (k % limb_bits);
-    return out;
 }
 
 std::size_t bigint::bit_length() const noexcept {
@@ -64,34 +43,6 @@ double bigint::to_double() const noexcept {
     return out;
 }
 
-std::string bigint::to_decimal() const {
-    if (is_zero()) return "0";
-    bigint tmp = *this;
-    std::string out;
-    while (!tmp.is_zero()) {
-        const std::uint64_t digit = tmp.divmod_small(10);
-        out.push_back(static_cast<char>('0' + digit));
-    }
-    std::reverse(out.begin(), out.end());
-    return out;
-}
-
-std::string bigint::to_hex() const {
-    if (is_zero()) return "0x0";
-    std::string out = "0x";
-    static const char* digits = "0123456789abcdef";
-    bool leading = true;
-    for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {
-        for (int shift = 60; shift >= 0; shift -= 4) {
-            const unsigned nib = static_cast<unsigned>((*it >> shift) & 0xF);
-            if (leading && nib == 0) continue;
-            leading = false;
-            out.push_back(digits[nib]);
-        }
-    }
-    return out;
-}
-
 int bigint::compare(const bigint& o) const noexcept {
     if (limbs_.size() != o.limbs_.size())
         return limbs_.size() < o.limbs_.size() ? -1 : 1;
@@ -113,20 +64,6 @@ bigint& bigint::operator+=(const bigint& o) {
         limbs_[i] = sum;
     }
     if (carry) limbs_.push_back(1);
-    return *this;
-}
-
-bigint& bigint::operator-=(const bigint& o) {
-    require(compare(o) >= 0, "bigint::operator-=: would underflow (unsigned)");
-    unsigned char borrow = 0;
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        const std::uint64_t rhs = i < o.limbs_.size() ? o.limbs_[i] : 0;
-        const std::uint64_t a = limbs_[i];
-        const std::uint64_t diff = a - rhs - borrow;
-        borrow = (a < rhs || (borrow && a == rhs)) ? 1 : 0;
-        limbs_[i] = diff;
-    }
-    trim();
     return *this;
 }
 
@@ -184,36 +121,6 @@ bigint& bigint::mul_small(std::uint64_t m) {
     }
     if (carry) limbs_.push_back(carry);
     return *this;
-}
-
-std::uint64_t bigint::divmod_small(std::uint64_t d) {
-    require(d != 0, "bigint::divmod_small: division by zero");
-    std::uint64_t rem = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-        const __uint128_t cur = (static_cast<__uint128_t>(rem) << 64) | limbs_[i];
-        limbs_[i] = static_cast<std::uint64_t>(cur / d);
-        rem = static_cast<std::uint64_t>(cur % d);
-    }
-    trim();
-    return rem;
-}
-
-bigint bigint::mul(const bigint& o) const {
-    if (is_zero() || o.is_zero()) return bigint{};
-    bigint out;
-    out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        std::uint64_t carry = 0;
-        for (std::size_t j = 0; j < o.limbs_.size(); ++j) {
-            const __uint128_t cur = static_cast<__uint128_t>(limbs_[i]) * o.limbs_[j] +
-                                    out.limbs_[i + j] + carry;
-            out.limbs_[i + j] = static_cast<std::uint64_t>(cur);
-            carry = static_cast<std::uint64_t>(cur >> 64);
-        }
-        out.limbs_[i + o.limbs_.size()] += carry;
-    }
-    out.trim();
-    return out;
 }
 
 }  // namespace anole

@@ -5,18 +5,19 @@
 // 1/(2k^{1+ε}) per neighbor per round. After r rounds a potential is a
 // rational with denominator (2k^{1+ε})^r — it needs ω(log n) bits and the
 // paper explicitly transmits it *bit by bit* under CONGEST. Floating point
-// would silently destroy the conservation invariant (Σ potentials is
-// constant) that Lemma 3 rests on, so we implement exact dyadic rationals
-// (util/dyadic.h) on top of this unsigned bigint.
+// loses the conservation invariant (Σ potentials is constant) that
+// Lemma 3 rests on, so the diffusion core's exact mode (core/diffusion.h,
+// E9c) keeps exact dyadic rationals (util/dyadic.h) on top of this
+// unsigned bigint, as the reference the double potentials are measured
+// against.
 //
-// Scope: unsigned only, little-endian base-2^64 limbs, the operations the
-// library needs (add/sub/compare/shift/small-multiply/bit ops) plus
-// decimal I/O for diagnostics. Not a general bignum; see tests for the
+// Scope: unsigned only, little-endian base-2^64 limbs, the operations
+// dyadic arithmetic and the bit codec need (add/compare/shift/
+// small-multiply/bit ops). Not a general bignum; see tests for the
 // contract.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -31,11 +32,6 @@ public:
         if (v != 0) limbs_.push_back(v);      // implicit: uint64 -> bigint is value-preserving
     }
 
-    [[nodiscard]] static bigint from_decimal(const std::string& s);
-
-    // 2^k
-    [[nodiscard]] static bigint pow2(std::size_t k);
-
     // --- observers ---
     [[nodiscard]] bool is_zero() const noexcept { return limbs_.empty(); }
 
@@ -47,19 +43,8 @@ public:
 
     [[nodiscard]] bool bit(std::size_t i) const noexcept;
 
-    // Truncates to the low 64 bits.
-    [[nodiscard]] std::uint64_t low64() const noexcept {
-        return limbs_.empty() ? 0 : limbs_[0];
-    }
-
-    // Returns true iff the value fits in 64 bits.
-    [[nodiscard]] bool fits64() const noexcept { return limbs_.size() <= 1; }
-
     // Best-effort conversion to double (may lose precision / overflow to inf).
     [[nodiscard]] double to_double() const noexcept;
-
-    [[nodiscard]] std::string to_decimal() const;
-    [[nodiscard]] std::string to_hex() const;
 
     // --- comparison ---
     [[nodiscard]] int compare(const bigint& o) const noexcept;
@@ -84,24 +69,13 @@ public:
 
     // --- arithmetic ---
     bigint& operator+=(const bigint& o);
-    // Precondition: *this >= o (unsigned subtraction).
-    bigint& operator-=(const bigint& o);
     bigint& operator<<=(std::size_t bits);
     bigint& operator>>=(std::size_t bits);
     bigint& mul_small(std::uint64_t m);
-    // Divides by small divisor, returns remainder. Precondition: d != 0.
-    std::uint64_t divmod_small(std::uint64_t d);
 
     friend bigint operator+(bigint a, const bigint& b) { return a += b; }
-    friend bigint operator-(bigint a, const bigint& b) { return a -= b; }
     friend bigint operator<<(bigint a, std::size_t k) { return a <<= k; }
     friend bigint operator>>(bigint a, std::size_t k) { return a >>= k; }
-
-    // Full multiplication (schoolbook); used only in tests/diagnostics.
-    [[nodiscard]] bigint mul(const bigint& o) const;
-
-    // Raw limb access for hashing/serialization.
-    [[nodiscard]] const std::vector<std::uint64_t>& limbs() const noexcept { return limbs_; }
 
 private:
     void trim() noexcept {

@@ -2,9 +2,12 @@
 //
 // The CONGEST model charges communication in *bits*: O(log n) bits per
 // link per round (paper §2). The simulator (src/sim) therefore accounts
-// message sizes in bits, and protocols that ship structured payloads
-// (IDs, counters, potentials) encode them through this codec so the
-// accounted size is the real serialized size, not sizeof(struct).
+// message sizes in bits. Protocols that ship structured payloads (IDs,
+// counters, potentials) charge each message the size its fields would
+// take in the formats below (gamma_bits, gamma0_bits,
+// encoded_dyadic_bits), not sizeof(struct); they never serialize.
+// bit_writer/bit_reader are the reference encoder those size functions
+// are tested against.
 //
 // Wire formats:
 //   * fixed-width field: `width` low bits of a value, MSB-first.

@@ -24,19 +24,6 @@ dyadic& dyadic::operator+=(const dyadic& o) {
     return *this;
 }
 
-dyadic& dyadic::operator-=(const dyadic& o) {
-    require(compare(o) >= 0, "dyadic::operator-=: would underflow (non-negative type)");
-    if (o.is_zero()) return *this;
-    const std::size_t e = std::max(exp_, o.exp_);
-    bigint a = mant_ << (e - exp_);
-    bigint b = o.mant_ << (e - o.exp_);
-    a -= b;
-    mant_ = std::move(a);
-    exp_ = e;
-    normalize();
-    return *this;
-}
-
 int dyadic::compare(const dyadic& o) const {
     if (is_zero() && o.is_zero()) return 0;
     if (is_zero()) return -1;
@@ -56,22 +43,18 @@ int dyadic::compare(const dyadic& o) const {
 double dyadic::to_double() const noexcept {
     if (is_zero()) return 0.0;
     // Use the top ~64 bits of the mantissa to avoid overflowing to inf for
-    // long mantissas, then scale by the adjusted exponent.
+    // long mantissas, then scale by the adjusted exponent in one ldexp: a
+    // separate 2^-exp factor underflows to 0 once exp > 1074, even where
+    // the value itself is representable.
+    const int exp = static_cast<int>(exp_);
     const std::size_t bl = mant_.bit_length();
-    if (bl <= 1000) {
-        return mant_.to_double() * std::pow(2.0, -static_cast<double>(exp_));
-    }
+    if (bl <= 1000) return std::ldexp(mant_.to_double(), -exp);
     const bigint top = mant_ >> (bl - 64);
-    const double frac = top.to_double();
-    return frac * std::pow(2.0, static_cast<double>(bl - 64) - static_cast<double>(exp_));
+    return std::ldexp(top.to_double(), static_cast<int>(bl - 64) - exp);
 }
 
 std::size_t dyadic::wire_bits() const noexcept {
     return encoded_dyadic_bits(*this);
-}
-
-std::string dyadic::to_string() const {
-    return mant_.to_decimal() + "/2^" + std::to_string(exp_);
 }
 
 }  // namespace anole

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <utility>
 
 #include "util/bigint.h"
 #include "util/error.h"
@@ -47,8 +47,6 @@ public:
 
     // --- arithmetic (exact) ---
     dyadic& operator+=(const dyadic& o);
-    // Precondition: *this >= o.
-    dyadic& operator-=(const dyadic& o);
     // Divide by 2^k (exact: exponent bump).
     dyadic& div_pow2(std::size_t k) {
         if (!mant_.is_zero()) exp_ += k;
@@ -62,7 +60,6 @@ public:
     }
 
     friend dyadic operator+(dyadic a, const dyadic& b) { return a += b; }
-    friend dyadic operator-(dyadic a, const dyadic& b) { return a -= b; }
 
     // --- comparison (numeric) ---
     [[nodiscard]] int compare(const dyadic& o) const;
@@ -77,11 +74,9 @@ public:
     [[nodiscard]] double to_double() const noexcept;
 
     // Bits to transmit this value verbatim: mantissa bits + exponent encoded
-    // as an Elias-gamma-style length (see util/bit_codec.h encode_dyadic for
-    // the actual wire format; this matches it exactly).
+    // as an Elias-gamma-style length (see util/bit_codec.h
+    // bit_writer::put_dyadic for the wire format; this matches it exactly).
     [[nodiscard]] std::size_t wire_bits() const noexcept;
-
-    [[nodiscard]] std::string to_string() const;  // "m/2^e" for diagnostics
 
 private:
     void normalize() {

@@ -36,8 +36,13 @@ TEST(Diffusion, ExactConservationBitForBit) {
         sum += eng->node(u).potential_exact();
     }
     // Σ potentials must still be the integer number of black starters.
+    xoshiro256ss color_rng(derive_seed(7, 0, 0xC0102));
+    std::uint64_t black = 0;
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+        if (color_rng.bernoulli(0.5)) ++black;
+    }
     EXPECT_EQ(sum.exponent(), 0u);
-    EXPECT_TRUE(sum.mantissa().fits64());
+    EXPECT_EQ(sum, dyadic(black));
 }
 
 TEST(Diffusion, ApproxConservationToFloatTolerance) {
