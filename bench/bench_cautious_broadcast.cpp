@@ -32,8 +32,7 @@ sample_stats territories(const scenario_result& res) {
 // Uncautious flood: reaches everyone, costs Θ(m) at least.
 cautious_cfg naive_flood() {
     cautious_cfg naive;
-    naive.config.throttle = false;
-    naive.config.extend_all = true;
+    naive.config.naive = true;
     return naive;
 }
 

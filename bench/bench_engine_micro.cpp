@@ -1,22 +1,19 @@
 // Engine microbenchmark + perf-regression gate.
 //
-// Measures the two hot paths this repo's every experiment bottoms out in
-// and compares them against their pre-flat-slot predecessors, which are
-// replicated here so the before/after is measured, not recalled:
+// Measures the engine's hot paths against their predecessors, which are
+// replicated here so the before/after is measured, not recalled, and
+// checks that each fast path ends bitwise-identical to its reference:
 //
 //   1. round dispatch — flat single-writer slot transport vs the legacy
 //      vector-inbox engine (per-node vector<pair> inboxes cleared every
 //      round, per-sender stamp array, per-send metrics map lookup);
-//   2. walk ensembles — O(degree) binomial/multinomial rounds vs the
-//      per-token coin-flip loop (run on the same flat engine, so the
-//      sampling change is isolated);
-//   3. parallel identity — sharded rounds must be bitwise-identical to
+//   2. parallel identity — sharded rounds must be bitwise-identical to
 //      serial on every topology family in the zoo;
-//   4. quiet-round fast-forward — the revocable and irrevocable protocols
+//   3. quiet-round fast-forward — the revocable and irrevocable protocols
 //      with the engine skipping quiet rounds vs the same engine stepping
 //      every round (hooks hidden by always_step), which must end
 //      bitwise-identical;
-//   5. gilbert walk batches — the Gilbert baseline's heap-free node (flat
+//   4. gilbert walk batches — the Gilbert baseline's heap-free node (flat
 //      per-candidate records, inline batches, moved sends) vs the frozen
 //      map-and-vector replica in bench/gilbert_replica.h, on elect-known-n's
 //      gilbert units; both must end bitwise-identical.
@@ -177,57 +174,6 @@ private:
     sim_metrics metrics_;
 };
 
-// --- per-token walk replica --------------------------------------------------
-//
-// The pre-binomial walk_ensemble_node: one lazy coin + one port draw per
-// resident token per round. Runs on the current flat engine so the
-// comparison isolates the sampling change.
-
-class per_token_walk_node {
-public:
-    using message_type = walk_msg;
-
-    per_token_walk_node(std::size_t degree, std::uint64_t tokens, std::uint64_t rounds)
-        : degree_(degree), resident_(tokens), rounds_(rounds) {}
-
-    void on_round(node_ctx<walk_msg>& ctx, inbox_view<walk_msg> inbox) {
-        for (const auto& [port, msg] : inbox) {
-            (void)port;
-            resident_ += msg.count;
-        }
-        if (ctx.round() >= rounds_) {
-            ctx.halt();
-            return;
-        }
-        if (resident_ == 0 || degree_ == 0) return;
-        if (out_.size() != degree_) out_.assign(degree_, 0);
-        touched_.clear();
-        std::uint64_t staying = 0;
-        for (std::uint64_t t = 0; t < resident_; ++t) {
-            if (ctx.rng().bit()) {
-                const auto p = static_cast<port_id>(ctx.rng().below(degree_));
-                if (out_[p]++ == 0) touched_.push_back(p);
-            } else {
-                ++staying;
-            }
-        }
-        resident_ = staying;
-        for (port_id p : touched_) {
-            ctx.send(p, walk_msg{out_[p]});
-            out_[p] = 0;
-        }
-    }
-
-    [[nodiscard]] std::uint64_t resident() const noexcept { return resident_; }
-
-private:
-    std::size_t degree_;
-    std::uint64_t resident_;
-    std::uint64_t rounds_;
-    std::vector<std::uint64_t> out_;
-    std::vector<port_id> touched_;
-};
-
 // --- measurement helpers -----------------------------------------------------
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -265,32 +211,6 @@ round_throughput measure_rounds(const graph& g, std::uint64_t rounds) {
         out.legacy_mmsg_s = std::max(out.legacy_mmsg_s, throughput(legacy));
     }
     return out;
-}
-
-struct walk_timing {
-    double binomial_s = 0;
-    double per_token_s = 0;
-    std::vector<std::uint64_t> binomial_resident, per_token_final_total;
-};
-
-template <class Node>
-double time_walk(const graph& g, std::uint64_t tokens, std::uint64_t rounds,
-                 std::uint64_t seed, std::uint64_t* total_out) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        engine<Node> eng(g, seed, congest_budget::unlimited());
-        eng.spawn([&](std::size_t u) {
-            return Node(g.degree(static_cast<node_id>(u)), u == 0 ? tokens : 0, rounds);
-        });
-        eng.run_until_halted(rounds + 2);
-        const double s = seconds_since(t0);
-        if (s < best) best = s;
-        std::uint64_t total = 0;
-        for (std::size_t u = 0; u < g.num_nodes(); ++u) total += eng.node(u).resident();
-        *total_out = total;
-    }
-    return best;
 }
 
 // Sharded-vs-serial identity on one family: walk ensemble digest match.
@@ -426,43 +346,7 @@ int run(const bench::gate_options& opt) {
     }
     gate.emit("engine round throughput", t1);
 
-    // --- 2. walk ensembles: binomial rounds vs per-token rounds ---
-    text_table t2({"graph", "tokens", "rounds", "binomial s", "per-token s",
-                   "speedup", "Mtokens/s"});
-    struct walk_case {
-        const char* name;
-        graph g;
-        std::uint64_t tokens;
-        std::uint64_t rounds;
-    };
-    std::vector<walk_case> walks;
-    walks.push_back({"dumbbell(128)", make_family(graph_family::dumbbell, 128, 1),
-                     opt.quick ? 100'000ull : 1'000'000ull, 64});
-    walks.push_back({"caveman(120)",
-                     make_family(graph_family::connected_caveman, 120, 1),
-                     opt.quick ? 100'000ull : 1'000'000ull, 64});
-    for (auto& w : walks) {
-        std::uint64_t total_b = 0, total_t = 0;
-        const double sb =
-            time_walk<walk_ensemble_node>(w.g, w.tokens, w.rounds, 7, &total_b);
-        const double st =
-            time_walk<per_token_walk_node>(w.g, w.tokens, w.rounds, 7, &total_t);
-        if (total_b != w.tokens || total_t != w.tokens) {
-            std::fprintf(stderr, "token conservation violated: %llu/%llu vs %llu\n",
-                         static_cast<unsigned long long>(total_b),
-                         static_cast<unsigned long long>(total_t),
-                         static_cast<unsigned long long>(w.tokens));
-            return 2;
-        }
-        const double token_steps =
-            static_cast<double>(w.tokens) * static_cast<double>(w.rounds);
-        t2.add_row({w.name, fmt_count(w.tokens), fmt_count(w.rounds), fmt_fixed(sb, 3),
-                    fmt_fixed(st, 3), fmt_ratio(st / sb),
-                    fmt_fixed(token_steps / sb / 1e6, 1)});
-    }
-    gate.emit("walk ensemble throughput", t2);
-
-    // --- 3. sharded rounds identical to serial, across the whole zoo ---
+    // --- 2. sharded rounds identical to serial, across the whole zoo ---
     text_table t3({"family", "n", "identical"});
     const std::size_t ident_n = opt.quick ? 24 : 64;
     bool all_identical = true;
@@ -477,7 +361,7 @@ int run(const bench::gate_options& opt) {
         return 2;
     }
 
-    // --- 4. quiet-round fast-forward vs stepping every round ---
+    // --- 3. quiet-round fast-forward vs stepping every round ---
     // The campaign policy for revocable units (sim/campaign.cpp); seed 18
     // is elect-unknown-n's long unit on ba(8).
     revocable_params rp = revocable_params::scaled(std::nullopt, 0.008, 0.05);
@@ -515,7 +399,7 @@ int run(const bench::gate_options& opt) {
         return 2;
     }
 
-    // --- 5. gilbert walk batches: heap-free node vs the frozen replica ---
+    // --- 4. gilbert walk batches: heap-free node vs the frozen replica ---
     // elect-known-n's gilbert units (bench_e2e): profile-filled parameters
     // and run_gilbert's fragmenting budget; best of five runs per side.
     text_table t5({"workload", "replica s", "new s", "speedup", "identical"});
@@ -552,7 +436,6 @@ int run(const bench::gate_options& opt) {
     // alike and the ratio survives.
     return gate.finish({
         {"engine round throughput", "workload", "speedup", false},
-        {"walk ensemble throughput", "graph", "speedup", false},
         {"parallel step identity", "family", "identical", true},
         {"quiet-round fast-forward", "workload", "speedup", false},
         {"quiet-round fast-forward", "workload", "identical", true},

@@ -80,23 +80,17 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
         xoshiro256ss rng = ctx.rng();
         walking_ = false;
         for (cand_rec& c : cands_) {
-            std::uint64_t staying = 0;
-            for (std::uint64_t t = 0; t < c.tokens; ++t) {
-                if (rng.bit()) {
-                    // Records run in id order, so this candidate's batch
-                    // entry on the port, if any, is the last one.
-                    auto& walks = out_[static_cast<port_id>(rng.below(degree_))].walks;
-                    if (!walks.empty() && walks.back().id == c.id) {
-                        ++walks.back().count;
-                    } else {
-                        walks.push_back(gl_walk{c.id, 1});
-                    }
+            c.tokens = lazy_walk_step(rng, c.tokens, degree_, [&](std::uint64_t p) {
+                // Records run in id order, so this candidate's batch
+                // entry on the port, if any, is the last one.
+                auto& walks = out_[p].walks;
+                if (!walks.empty() && walks.back().id == c.id) {
+                    ++walks.back().count;
                 } else {
-                    ++staying;
+                    walks.push_back(gl_walk{c.id, 1});
                 }
-            }
-            c.tokens = staying;
-            walking_ = walking_ || staying != 0;
+            });
+            walking_ = walking_ || c.tokens != 0;
         }
         ctx.rng() = rng;
     } else {

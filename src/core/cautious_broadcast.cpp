@@ -110,7 +110,7 @@ bool cb_exec::idle(const cb_config& cfg) const noexcept {
                                          [](char told) { return told != 0; });
     }
     // Pending cap stop or threshold crossing, or an extension to make.
-    if (confirmed_ >= cfg.cap || (cfg.throttle && confirmed_ > report_next_)) return false;
+    if (confirmed_ >= cfg.cap || (!cfg.naive && confirmed_ > report_next_)) return false;
     return status_ != cb_status::active || used_.size() >= degree_;
 }
 

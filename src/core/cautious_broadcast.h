@@ -39,7 +39,7 @@
 // thresholds at its end nodes") reports only on threshold crossings. We
 // implement the prose by default and keep the literal printed behavior
 // available as cb_config::report_every_round for the E11 ablation, which
-// measures exactly this message blow-up. cb_config::extend_all gives the
+// measures exactly this message blow-up. cb_config::naive gives the
 // naive uncautious flood for the same experiment.
 //
 // The class below is one *execution's* per-node state machine, engine
@@ -79,9 +79,10 @@ enum class cb_status : std::uint8_t { active, passive, stopped };
 
 struct cb_config {
     std::uint64_t cap = UINT64_MAX;  // x·tmix·Φ territory cap
-    bool throttle = true;            // doubling-threshold machinery
     bool report_every_round = false; // literal Algorithm 4 line 24 (E11)
-    bool extend_all = false;         // naive flood instead of one random port (E11)
+    // Naive uncautious flood (E11): no doubling-threshold machinery, and
+    // extensions go out on every unused port instead of one random port.
+    bool naive = false;
 };
 
 class cb_exec {
@@ -358,7 +359,7 @@ void cb_exec::transmit(const cb_config& cfg, xoshiro256ss& rng, Send&& send) {
     bool crossed = false;
     // A just-adopted node defers threshold handling one step so the
     // adoption ack is the only message on the parent port this round.
-    if (cfg.throttle && !just_adopted && confirmed_ > report_next_) {
+    if (!cfg.naive && !just_adopted && confirmed_ > report_next_) {
         crossed = true;
         report_next_ = pow2_at_least(confirmed_);
         // A fresh cross supersedes any wave received this round: we must
@@ -385,7 +386,7 @@ void cb_exec::transmit(const cb_config& cfg, xoshiro256ss& rng, Send&& send) {
                 }
             }
         }
-    } else if (cfg.throttle && !cfg.report_every_round && !is_root_ &&
+    } else if (!cfg.naive && !cfg.report_every_round && !is_root_ &&
                !just_adopted && child_update && confirmed_ != last_reported_) {
         // Non-crossing count change: refresh the parent's view without
         // the passivation protocol (see the header note on chain graphs).
@@ -428,8 +429,8 @@ void cb_exec::transmit(const cb_config& cfg, xoshiro256ss& rng, Send&& send) {
 
     // Extension: active nodes invite unused neighbors.
     if (status_ == cb_status::active &&
-        (!cfg.throttle || confirmed_ <= report_next_)) {
-        if (cfg.extend_all) {
+        (cfg.naive || confirmed_ <= report_next_)) {
+        if (cfg.naive) {
             for (port_id p = 0; p < degree_; ++p) {
                 if (!std::binary_search(used_.begin(), used_.end(), p)) {
                     mark_used(p);

@@ -137,15 +137,7 @@ void irrevocable_node::walk_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbo
         }
     } else {
         // Lazy step: each resident token moves with probability 1/2.
-        std::uint64_t staying = 0;
-        for (std::uint64_t t = 0; t < walk_count_; ++t) {
-            if (ctx.rng().bit()) {
-                emit(static_cast<port_id>(ctx.rng().below(degree_)));
-            } else {
-                ++staying;
-            }
-        }
-        walk_count_ = staying;
+        walk_count_ = lazy_walk_step(ctx.rng(), walk_count_, degree_, emit);
     }
     for (port_id p : touched_) {
         ctx.send(p, ir_msg{ir_msg::kind::walk, id_max_, out_scratch_[p]});

@@ -4,18 +4,14 @@
 // a set of source nodes each launch `tokens` lazy walk tokens (stay with
 // probability 1/2, else uniform random neighbor); tokens traversing a
 // link in the same round are batched into one ⟨count⟩ message (CONGEST).
-// Rounds are sampled *distributionally* — stayers ~ Binomial(resident,
-// 1/2), movers split over ports as a uniform multinomial (util/rng.h) —
-// so a round costs O(degree) rather than O(resident tokens): the exact
-// same token-level law, but million-token ensembles run at the price of
-// ten-token ones (tests/util/rng_binomial_test.cpp checks the samplers
-// against the per-token reference by chi-squared).
+// Each resident token takes its own lazy step through util/rng.h's
+// lazy_walk_step, the rule the election protocols' walks run, so a round
+// costs O(resident tokens + degree).
 // Unlike the full protocol's walks, these carry no IDs — the ensemble is
 // used to validate the *mixing* behaviour the analysis relies on:
 // after tmix steps, token positions sample the stationary distribution
-// d_v/2m (tests/core/random_walk_test.cpp correlates the empirical
-// histogram against graph/spectral.h's prediction), and hitting
-// experiments (E8) measure territory discovery.
+// d_v/2m (tests/core/random_walk_test.cpp checks the empirical histogram
+// against graph/spectral.h's prediction).
 //
 // Degree-0 precondition: the connectivity requirement of the model means
 // a node of degree 0 can only be the sole node of a 1-node graph (e.g.
@@ -61,21 +57,18 @@ public:
             return;
         }
         // A degree-0 node (possible only on the 1-node graph — the model
-        // requires connectivity) is absorbing: every token stays, and the
-        // port split below is never reached.
+        // requires connectivity) is absorbing: every token stays, and no
+        // port is ever drawn.
         if (resident_ == 0 || degree_ == 0) return;
-        // Distributional round: instead of flipping a lazy coin per token
-        // (O(resident)), sample how many move — Binomial(resident, 1/2) —
-        // and split the movers over the ports as an exact uniform
-        // multinomial. O(degree) regardless of how many tokens sit here,
-        // with the identical per-token distribution.
-        const std::uint64_t movers = binomial(ctx.rng(), resident_, 0.5);
-        resident_ -= movers;
-        if (movers == 0) return;
-        if (out_.size() != degree_) out_.resize(degree_);
-        multinomial_uniform(ctx.rng(), movers, out_);
+        // Batch this round's movers per port: one ⟨count⟩ message a link.
+        if (out_.size() != degree_) out_.assign(degree_, 0);
+        resident_ = lazy_walk_step(ctx.rng(), resident_, degree_,
+                                   [this](std::uint64_t p) { ++out_[p]; });
         for (port_id p = 0; p < degree_; ++p) {
-            if (out_[p] != 0) ctx.send(p, walk_msg{out_[p]});
+            if (out_[p] != 0) {
+                ctx.send(p, walk_msg{out_[p]});
+                out_[p] = 0;
+            }
         }
     }
 

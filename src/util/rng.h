@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -129,26 +128,25 @@ private:
     std::uint64_t state_[4];
 };
 
-// --- distributional sampling ----------------------------------------------
-//
-// The lazy-walk ensembles (core/random_walk.h) need whole *populations* of
-// coin flips per round: "of the R resident tokens, how many stay?" is
-// Binomial(R, 1/2), and "how do the movers split over d ports?" is a
-// uniform multinomial. Sampling those distributions directly turns an
-// O(tokens) per-round loop into O(degree) — a million-token ensemble costs
-// the same as a ten-token one.
-
-// Number of successes in n Bernoulli(p) trials. Expected O(1) time for
-// any n: exact popcount of fair bits for p = 1/2 with n <= 1024, a
-// per-trial loop for n <= 16, CDF inversion (BINV) while n·p < 10, and
-// Hörmann's BTRS transformed rejection above. p must lie in [0, 1].
-[[nodiscard]] std::uint64_t binomial(xoshiro256ss& rng, std::uint64_t n, double p);
-
-// Splits `count` items over out.size() equally likely bins (exact uniform
-// multinomial, sampled as a chain of conditional binomials). The bin
-// counts always sum to `count`.
-void multinomial_uniform(xoshiro256ss& rng, std::uint64_t count,
-                         std::span<std::uint64_t> out);
+// One lazy-walk step of the `tokens` walk tokens resident at a node with
+// `degree` ports (Algorithm 5): each token draws one bit() and stays on a
+// 0; a moving token draws below(degree) and is passed to emit(port).
+// Returns how many stayed. Every walk protocol steps its tokens here, so
+// all of them draw the same stream for the same tokens. A node that has
+// tokens to move must have degree > 0.
+template <class Emit>
+[[nodiscard]] std::uint64_t lazy_walk_step(xoshiro256ss& rng, std::uint64_t tokens,
+                                           std::uint64_t degree, Emit&& emit) {
+    std::uint64_t staying = 0;
+    for (std::uint64_t t = 0; t < tokens; ++t) {
+        if (rng.bit()) {
+            emit(rng.below(degree));
+        } else {
+            ++staying;
+        }
+    }
+    return staying;
+}
 
 // --- random tapes ---------------------------------------------------------
 //

@@ -152,8 +152,7 @@ TEST(CautiousBroadcast, NaiveFloodReachesEveryoneButCostsMore) {
     graph g = make_torus(8, 8);
     cb_config naive;
     naive.cap = UINT64_MAX;
-    naive.throttle = false;
-    naive.extend_all = true;
+    naive.naive = true;
     auto en = run_cb(g, naive, 200, 29);
     EXPECT_EQ(territory_size(*en), g.num_nodes());
     // Flood touches every edge at least once.
@@ -220,8 +219,7 @@ TEST(CautiousBroadcast, IdleExecStepsAsANoOp) {
     cb_config literal;
     literal.report_every_round = true;
     cb_config flood;
-    flood.extend_all = true;
-    flood.throttle = false;
+    flood.naive = true;
     for (const cb_config& cfg : {cb_config{}, capped, literal, flood}) {
         for (const graph_family f : {graph_family::torus, graph_family::barabasi_albert,
                                      graph_family::path}) {

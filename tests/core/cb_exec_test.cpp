@@ -229,8 +229,7 @@ TEST(CbExec, NeverTwoMessagesPerPortPerStep) {
 TEST(CbExec, ExtendAllFloodsAllUnusedPorts) {
     cb_exec e = cb_exec::make_root(4, 5);
     cb_config cfg;
-    cfg.throttle = false;
-    cfg.extend_all = true;
+    cfg.naive = true;
     const auto msgs = step(e, cfg);
     EXPECT_EQ(msgs.size(), 4u);
     for (const auto& m : msgs) EXPECT_EQ(m.kind, cb_kind::source);

@@ -1,8 +1,9 @@
 // Pins the outcome of every election driver, field by field: the shared
 // fields (success, leaders, leader ID, rounds, cost totals, oracle
 // verdict) and each protocol's extras, for all five algorithm kinds on
-// two small topologies, on a static network and under loss + crashes.
-// Any refactor of the drivers must leave every string below unchanged.
+// two small topologies, on a static network and under loss + crashes;
+// then the two walk protocols at n = 128. Any refactor of the drivers
+// must leave every string below unchanged.
 #include "sim/runner.h"
 
 #include <gtest/gtest.h>
@@ -179,6 +180,58 @@ TEST(Driver, OutcomesPinnedAcrossUnification) {
     EXPECT_EQ(counters(ex.announcement.totals), "5/5/28/694");
     EXPECT_EQ(ex.announcement.depths,
               (std::vector<std::uint32_t>{1, 1, 0, 1, 2, 2, 2, 2}));
+}
+
+// The walk protocols at elect-known-n scale (bench_e2e's hypercube and
+// torus at n = 128, seeds 1 and 2), where lazy steps move thousands of
+// tokens per round rather than the dozens of the n = 8 pins above.
+TEST(Driver, WalkOutcomesPinnedAtElectKnownNScale) {
+    const std::vector<std::string> expected = {
+        "hypercube(7) gilbert seed 1: success=1 leaders=1 rounds=253 "
+            "totals=253/439/49099/3553194 oracle=ok (live=0, leaders=1) id=178676688 "
+            "cands=5 maxwon=1",
+        "hypercube(7) gilbert seed 2: success=1 leaders=1 rounds=253 "
+            "totals=253/496/62344/4946996 oracle=ok (live=0, leaders=1) id=257538585 "
+            "cands=7 maxwon=1",
+        "hypercube(7) irrevocable seed 1: success=1 leaders=1 rounds=3781 "
+            "totals=3781/3781/8827/537082 oracle=ok (live=0, leaders=1) id=225941882 "
+            "cands=5 maxwon=1 overflows=0 bc=3528/3528/3030/178831 "
+            "walk=126/126/5450/337778 cc=126/126/347/20473 terr=93,88,93,91,100,",
+        "hypercube(7) irrevocable seed 2: success=1 leaders=1 rounds=3781 "
+            "totals=3781/3781/5274/319648 oracle=ok (live=0, leaders=1) id=212685306 "
+            "cands=3 maxwon=1 overflows=0 bc=3528/3528/1670/97256 "
+            "walk=126/126/3368/208468 cc=126/126/236/13924 terr=89,83,93,",
+        "torus(11x11) gilbert seed 1: success=1 leaders=1 rounds=749 "
+            "totals=749/1369/115286/9496146 oracle=ok (live=0, leaders=1) id=142682101 "
+            "cands=5 maxwon=1",
+        "torus(11x11) gilbert seed 2: success=1 leaders=1 rounds=749 "
+            "totals=749/1505/144965/15057292 oracle=ok (live=0, leaders=1) id=205657195 "
+            "cands=8 maxwon=1",
+        "torus(11x11) irrevocable seed 1: success=1 leaders=1 rounds=11221 "
+            "totals=11221/11221/16203/981011 oracle=ok (live=0, leaders=1) id=180425678 "
+            "cands=5 maxwon=1 overflows=0 bc=10472/10472/5131/296416 "
+            "walk=374/374/10747/665420 cc=374/374/325/19175 terr=105,106,101,111,101,",
+        "torus(11x11) irrevocable seed 2: success=1 leaders=1 rounds=11221 "
+            "totals=11221/11221/9862/597745 oracle=ok (live=0, leaders=1) id=169839651 "
+            "cands=3 maxwon=1 overflows=0 bc=10472/10472/3088/178731 "
+            "walk=374/374/6568/406860 cc=374/374/206/12154 terr=101,109,103,",
+    };
+    scenario_runner runner(1);
+    std::vector<std::string> actual;
+    for (const graph_family f : {graph_family::hypercube, graph_family::torus}) {
+        const graph& g = runner.materialize(family_spec{f, 128, 1});
+        const graph_profile& prof = runner.profile_for(g);
+        for (const algo_config& cfg :
+             {algo_config{gilbert_cfg{}}, algo_config{irrevocable_cfg{}}}) {
+            for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+                actual.push_back(g.name() + " " + to_string(kind_of(cfg)) + " seed " +
+                                 std::to_string(seed) + ": " +
+                                 describe(scenario_runner::run_once(g, prof, cfg, seed)));
+            }
+        }
+    }
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) EXPECT_EQ(actual[i], expected[i]);
 }
 
 }  // namespace

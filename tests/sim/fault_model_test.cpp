@@ -1,7 +1,7 @@
 // Statistical and equivalence tests for the fault models of
 // sim/dynamics.h: chi-squared validation that realized message-loss and
 // crash rates match the configured Bernoulli parameters (same style and
-// thresholds as rng_binomial_test), zero-effect dynamics bitwise
+// thresholds as rng_test's LazyWalkStep checks), zero-effect dynamics bitwise
 // identical to static runs, budget accounting under loss, and the
 // acceptance sweep — all five algorithms reach a verdict (success or
 // bounded failure, never a hang) under every dynamics preset on cycle,
@@ -58,7 +58,7 @@ dynamics_stats run_chatter(const graph& g, const dynamics_spec& spec,
     return eng.dynamics()->stats();
 }
 
-// rng_binomial_test's generous threshold: df + 5·sqrt(2·df) is far past
+// rng_test's generous threshold: df + 5·sqrt(2·df) is far past
 // the 99.9th percentile; with fixed seeds the statistic is deterministic
 // anyway — the margin guards against resampling churn.
 double chi2_threshold(std::size_t df) {

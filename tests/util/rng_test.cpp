@@ -1,9 +1,11 @@
-// Tests for util/rng.h: determinism, bounded sampling, Bernoulli, seeds,
-// and the tape machinery the impossibility proof depends on.
+// Tests for util/rng.h: determinism, bounded sampling, Bernoulli, the
+// lazy-walk step, seeds, and the tape machinery the impossibility proof
+// depends on.
 #include "util/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -83,6 +85,102 @@ TEST(Rng, BitIsFair) {
     const int samples = 100000;
     for (int i = 0; i < samples; ++i) ones += r.bit() ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(ones) / samples, 0.5, 0.01);
+}
+
+// Generous chi-squared threshold: df + 5·sqrt(2·df) sits far beyond the
+// 99.9th percentile for every df used here (the seeds are fixed anyway).
+double chi2_threshold(std::size_t df) {
+    return static_cast<double>(df) + 5.0 * std::sqrt(2.0 * static_cast<double>(df));
+}
+
+TEST(LazyWalkStep, MatchesPerTokenReference) {
+    // One bit() per token, then one below(degree) per mover, in token
+    // order: the draw order the pinned walk outcomes depend on.
+    for (std::uint64_t tokens : {0u, 1u, 7u, 1000u}) {
+        xoshiro256ss a(31 + tokens), b(31 + tokens);
+        std::vector<std::uint64_t> ports, ref_ports;
+        const std::uint64_t staying =
+            lazy_walk_step(a, tokens, 5, [&](std::uint64_t p) { ports.push_back(p); });
+        std::uint64_t ref_staying = 0;
+        for (std::uint64_t t = 0; t < tokens; ++t) {
+            if (b.bit()) {
+                ref_ports.push_back(b.below(5));
+            } else {
+                ++ref_staying;
+            }
+        }
+        EXPECT_EQ(staying, ref_staying) << tokens;
+        EXPECT_EQ(ports, ref_ports) << tokens;
+        EXPECT_EQ(staying + ports.size(), tokens);
+        EXPECT_EQ(a(), b()) << tokens;  // both streams end in the same state
+    }
+}
+
+TEST(LazyWalkStep, EdgeCases) {
+    xoshiro256ss r(1), untouched(1);
+    // No tokens: nothing stays, nothing moves, nothing is drawn.
+    EXPECT_EQ(lazy_walk_step(r, 0, 3, [](std::uint64_t) { ADD_FAILURE(); }), 0u);
+    EXPECT_EQ(r(), untouched());
+    // A single port takes every mover.
+    std::uint64_t moved = 0;
+    const std::uint64_t staying = lazy_walk_step(r, 42, 1, [&](std::uint64_t p) {
+        EXPECT_EQ(p, 0u);
+        ++moved;
+    });
+    EXPECT_EQ(staying + moved, 42u);
+}
+
+// The stay count of n tokens is Binomial(n, 1/2): 16 equal-width buckets
+// over mean ± 4σ (the outermost absorb the tails) against the exact pmf.
+TEST(LazyWalkStep, StayersMatchAnalyticPmf) {
+    const std::uint64_t n = 400;
+    const int samples = 10000;
+    const double nd = static_cast<double>(n);
+    const double mean = nd / 2, sd = std::sqrt(nd) / 2;
+    const int buckets = 16;
+    const double lo = mean - 4 * sd, width = 8 * sd / buckets;
+    auto bucket_of = [&](double k) {
+        const int i = static_cast<int>((k - lo) / width);
+        return i < 0 ? 0 : (i >= buckets ? buckets - 1 : i);
+    };
+    std::vector<double> expected(buckets, 0.0);
+    for (std::uint64_t k = 0; k <= n; ++k) {
+        const double kd = static_cast<double>(k);
+        const double logpmf = std::lgamma(nd + 1) - std::lgamma(kd + 1) -
+                              std::lgamma(nd - kd + 1) + nd * std::log(0.5);
+        expected[bucket_of(kd)] += std::exp(logpmf) * samples;
+    }
+    std::vector<int> observed(buckets, 0);
+    xoshiro256ss rng(107);
+    for (int i = 0; i < samples; ++i) {
+        ++observed[bucket_of(static_cast<double>(
+            lazy_walk_step(rng, n, 3, [](std::uint64_t) {})))];
+    }
+    double chi2 = 0;
+    for (int i = 0; i < buckets; ++i) {
+        ASSERT_GT(expected[i], 1.0) << "bucket " << i;
+        const double d = observed[i] - expected[i];
+        chi2 += d * d / expected[i];
+    }
+    EXPECT_LT(chi2, chi2_threshold(buckets - 1));
+}
+
+// Pooled over many steps, movers spread uniformly over the ports.
+TEST(LazyWalkStep, PortTotalsUniformChiSquared) {
+    const std::size_t ports = 7;
+    xoshiro256ss rng(8);
+    std::vector<double> totals(ports, 0.0);
+    double moved = 0;
+    for (int i = 0; i < 400; ++i) {
+        (void)lazy_walk_step(rng, 500, ports, [&](std::uint64_t p) {
+            ++totals[p];
+            ++moved;
+        });
+    }
+    const double expected = moved / static_cast<double>(ports);
+    double chi2 = 0;
+    for (double t : totals) chi2 += (t - expected) * (t - expected) / expected;
+    EXPECT_LT(chi2, chi2_threshold(ports - 1));
 }
 
 TEST(DeriveSeed, DeterministicAndSensitive) {
