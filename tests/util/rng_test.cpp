@@ -1,10 +1,12 @@
 // Tests for util/rng.h: determinism, bounded sampling, Bernoulli, the
-// lazy-walk step, seeds, and the tape machinery the impossibility proof
+// lazy-walk step (its token stream, Binomial stay count and multinomial
+// port split), seeds, and the tape machinery the impossibility proof
 // depends on.
 #include "util/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -116,14 +118,88 @@ TEST(LazyWalkStep, MatchesPerTokenReference) {
     }
 }
 
-TEST(LazyWalkStep, EdgeCases) {
+// The stay count of a lazy step is Binomial(tokens, 1/2) and the movers
+// split multinomially over the ports; the Binomial and Multinomial checks
+// below hold lazy_walk_step to those two laws.
+
+// Stay count of one lazy step, movers dropped.
+std::uint64_t stayers(xoshiro256ss& rng, std::uint64_t tokens) {
+    return lazy_walk_step(rng, tokens, 3, [](std::uint64_t) {});
+}
+
+TEST(Binomial, EdgeCases) {
     xoshiro256ss r(1), untouched(1);
     // No tokens: nothing stays, nothing moves, nothing is drawn.
     EXPECT_EQ(lazy_walk_step(r, 0, 3, [](std::uint64_t) { ADD_FAILURE(); }), 0u);
     EXPECT_EQ(r(), untouched());
-    // A single port takes every mover.
+    for (int i = 0; i < 200; ++i) EXPECT_LE(stayers(r, 7), 7u);
+}
+
+TEST(Binomial, DeterministicInSeed) {
+    xoshiro256ss a(77), b(77);
+    for (int i = 0; i < 200; ++i) EXPECT_EQ(stayers(a, 1000), stayers(b, 1000));
+}
+
+// Two-sample chi-squared over outcomes k in [0, n], sparse tails pooled
+// until every bucket holds >= 20 combined counts.
+void expect_two_sample_match(const std::vector<int>& a, const std::vector<int>& b) {
+    std::vector<double> pa, pb;
+    double ca = 0, cb = 0;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        ca += a[k];
+        cb += b[k];
+        if (ca + cb >= 20) {
+            pa.push_back(ca);
+            pb.push_back(cb);
+            ca = cb = 0;
+        }
+    }
+    if (ca + cb > 0 && !pa.empty()) {
+        pa.back() += ca;
+        pb.back() += cb;
+    }
+    ASSERT_GE(pa.size(), 3u);
+    double chi2 = 0;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        const double d = pa[i] - pb[i];
+        chi2 += d * d / (pa[i] + pb[i]);
+    }
+    EXPECT_LT(chi2, chi2_threshold(pa.size() - 1));
+}
+
+// For n <= 64 tokens the stay count has the law of the popcount of n
+// fair bits, the word-at-a-time Binomial(n, 1/2) sampler.
+TEST(Binomial, PopcountPathMatchesPerTokenReference) {
+    for (const std::uint64_t n : {25u, 64u}) {
+        const int samples = 4000;
+        xoshiro256ss rng_a(101 + n), rng_b(102 + n);
+        const std::uint64_t mask = n == 64 ? ~0ULL : (1ULL << n) - 1;
+        std::vector<int> a(n + 1, 0), b(n + 1, 0);
+        for (int i = 0; i < samples; ++i) {
+            ++a[stayers(rng_a, n)];
+            ++b[std::popcount(rng_b() & mask)];
+        }
+        SCOPED_TRACE(n);
+        expect_two_sample_match(a, b);
+    }
+}
+
+TEST(Multinomial, CountsAlwaysSumToTotal) {
+    xoshiro256ss rng(5);
+    for (const std::uint64_t total : {0u, 1u, 13u, 100000u}) {
+        std::vector<std::uint64_t> out(7, 0);
+        const std::uint64_t staying =
+            lazy_walk_step(rng, total, out.size(), [&](std::uint64_t p) { ++out[p]; });
+        std::uint64_t sum = staying;
+        for (auto c : out) sum += c;
+        EXPECT_EQ(sum, total);
+    }
+}
+
+TEST(Multinomial, SingleBinTakesEverything) {
+    xoshiro256ss rng(6);
     std::uint64_t moved = 0;
-    const std::uint64_t staying = lazy_walk_step(r, 42, 1, [&](std::uint64_t p) {
+    const std::uint64_t staying = lazy_walk_step(rng, 42, 1, [&](std::uint64_t p) {
         EXPECT_EQ(p, 0u);
         ++moved;
     });
